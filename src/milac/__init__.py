@@ -64,10 +64,8 @@ from .network import (
     susceptance_from_scattering,
 )
 from .optimizer import (
-    FPState,
     SolveReport,
     SolverConfig,
-    compute_xi,
     matched_filter_init,
     random_init,
     sinr,

@@ -38,11 +38,11 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     reduction; used to validate that the reduction loses nothing. The
     L x K iterate is reported in the Pd field and T_final is None.
     """
-    state, history, iterations, wall = run_fp(ch.H, ch.sigma, cfg, init=init)
+    T, history, iterations, wall = run_fp(ch.H, ch.sigma, cfg, init=init)
     return SolveReport(
         T_final=None,
-        Pd=state.T,
-        rates=user_rates(ch.H, state.T, ch.sigma),
+        Pd=T,
+        rates=user_rates(ch.H, T, ch.sigma),
         sum_rate=float(history[-1]),
         iterations=iterations,
         objective_history=history,

@@ -34,9 +34,10 @@ MODE_DEFAULTS = {
 
 COMMON_DEFAULTS = {
     "trials": 100, "seed": 0, "eps": 1e-4, "max_iter": 500,
-    "inner_updates": 20, "xi_rule": "spectral", "out": "results",
-    "no_timing": False,
+    "out": "results", "no_timing": False,
 }
+# every setting a flag or the config file may give; flag dests use these names
+SETTINGS = ("L", "K", "snr_db", *COMMON_DEFAULTS)
 
 _HELP = {
     "convergence": "record per-iteration objectives of the reduced solver",
@@ -75,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative sum-rate convergence tolerance")
         p.add_argument("--max-iter", type=int, default=None,
                        help="outer iteration cap")
-        p.add_argument("--inner-updates", type=int, default=None,
-                       help="projection steps per outer iteration")
-        p.add_argument("--xi-rule", choices=("spectral", "trace"), default=None,
-                       help="semidefinite shift rule")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of settings (flags override it)")
@@ -92,9 +89,7 @@ def _load_config(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    allowed = {"L", "K", "snr_db", "trials", "seed", "eps", "max_iter",
-               "inner_updates", "xi_rule", "out", "no_timing"}
-    unknown = set(data) - allowed
+    unknown = set(data) - set(SETTINGS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     if "L" in data:
@@ -111,19 +106,13 @@ def build_spec(args) -> ExperimentSpec:
     settings.update(MODE_DEFAULTS[args.mode])
     if args.config is not None:
         settings.update(_load_config(args.config))
-    for flag, key in [("L", "L"), ("K", "K"), ("snr_db", "snr_db"),
-                      ("trials", "trials"), ("seed", "seed"), ("eps", "eps"),
-                      ("max_iter", "max_iter"), ("inner_updates", "inner_updates"),
-                      ("xi_rule", "xi_rule"), ("out", "out"),
-                      ("no_timing", "no_timing")]:
-        value = getattr(args, flag)
+    for key in SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     solver = SolverConfig(
         eps=float(settings["eps"]),
         max_outer=int(settings["max_iter"]),
-        inner_updates=int(settings["inner_updates"]),
-        xi_rule=str(settings["xi_rule"]),
     )
     return ExperimentSpec(
         mode=args.mode,

@@ -4,7 +4,9 @@ Sweeps (antenna count, SNR) grids over seeded channel realizations, runs
 the selected transmitter architectures on identical channels, and writes
 plot-ready CSV files plus one JSON record per solver run. Channel seeds
 depend only on the trial index, so every architecture and sweep point
-sees the same fading for a given trial (paired comparison).
+sees the same fading for a given trial (paired comparison). The
+two_layer architecture realizes the digital_reduced solution of the same
+trial, so its wall time covers the mapping alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
 MODES = ("convergence", "snr_sweep", "antenna_sweep", "theorem_check")
-ARCHITECTURES = ("digital_full", "digital_reduced", "two_layer", "zero_forcing")
 WORKERS_ENV = "MILAC_WORKERS"
 
 RESULT_COLUMNS = ("mode", "L", "K", "snr_db", "trial", "architecture",
@@ -150,65 +151,79 @@ def _failed_row(spec, L, snr_db, trial, arch, elapsed, exc):
     }
 
 
+def _digital_full(ch, cfg, done):
+    rep = solve_full_dim(ch, cfg)
+    return rep.Pd, rep.iterations, rep
+
+
+def _digital_reduced(ch, cfg, done):
+    rep = solve_psla(reduce_channel(ch), cfg)
+    return rep.Pd, rep.iterations, rep
+
+
+def _two_layer(ch, cfg, done):
+    reduced = done["digital_reduced"]
+    if isinstance(reduced, Exception):
+        raise reduced
+    sol = map_digital_to_milac(DigitalBeamformer(Pd=reduced.Pd, Pt=cfg.Pt))
+    return sol.G, reduced.iterations, None
+
+
+def _zero_forcing(ch, cfg, done):
+    return zero_forcing(ch, cfg.Pt), 0, None
+
+
+# architecture -> fn(ch, cfg, done) returning (precoder, iterations, solve
+# report or None); done maps each architecture already run on the cell to
+# its report or to the exception it raised
+RUNNERS = {
+    "digital_full": _digital_full,
+    "digital_reduced": _digital_reduced,
+    "two_layer": _two_layer,
+    "zero_forcing": _zero_forcing,
+}
+ARCHITECTURES = tuple(RUNNERS)
+
+
 def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     """Run every architecture of the mode on one (L, snr, trial) cell.
 
     Returns (rows, solver_records, iteration_rows). Failures are recorded
     as rows with sum_rate=nan and iterations=-1 instead of aborting.
+    two_layer maps the digital_reduced solution of the same cell: its row
+    repeats that solve's iteration count, its wall time covers the mapping
+    alone, and it fails with digital_reduced's error if that solve failed.
     """
     seed = spec.base_seed + trial
     ch = generate_rayleigh(L, spec.K, seed)
-    Pt = snr_to_power(snr_db)
-    cfg = replace(spec.solver, Pt=Pt)
-    archs = mode_architectures(spec.mode)
+    cfg = replace(spec.solver, Pt=snr_to_power(snr_db))
     rows, records, iter_rows = [], [], []
+    done = {}
 
     def clock(t0):
         return time.perf_counter() - t0 if spec.measure_time else 0.0
 
-    def emit(arch, rate, iterations, wall):
-        rows.append(SweepRow(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db,
-                             trial=trial, architecture=arch, sum_rate=rate,
-                             iterations=iterations, wall_time=wall))
-
-    reduced_report = None
-    reduced_wall = 0.0
-    for arch in archs:
+    for arch in mode_architectures(spec.mode):
         t0 = time.perf_counter()
+        rec = None
         try:
-            if arch == "digital_full":
-                rep = solve_full_dim(ch, cfg)
-                wall = clock(t0)
-                emit(arch, sum_rate(ch.H, rep.Pd, ch.sigma), rep.iterations, wall)
-                rec = report_record(rep, cfg, seed=seed, label=arch)
-            elif arch == "digital_reduced":
-                red = reduce_channel(ch)
-                rep = solve_psla(red, cfg)
-                reduced_report, reduced_wall = rep, clock(t0)
-                emit(arch, sum_rate(ch.H, rep.Pd, ch.sigma), rep.iterations, reduced_wall)
-                rec = report_record(rep, cfg, seed=seed, label=arch)
-                if spec.mode == "convergence":
-                    for i, obj in enumerate(rep.objective_history):
-                        iter_rows.append((spec.mode, L, spec.K, snr_db, trial,
-                                          arch, i, float(obj)))
-            elif arch == "two_layer":
-                if reduced_report is None:
-                    red = reduce_channel(ch)
-                    reduced_report = solve_psla(red, cfg)
-                    reduced_wall = clock(t0)
-                    t0 = time.perf_counter()
-                rep = reduced_report
-                sol = map_digital_to_milac(DigitalBeamformer(Pd=rep.Pd, Pt=Pt))
-                wall = reduced_wall + clock(t0)
-                emit(arch, sum_rate(ch.H, sol.G, ch.sigma), rep.iterations, wall)
-                rec = None
-            else:
-                P = zero_forcing(ch, Pt)
-                emit(arch, sum_rate(ch.H, P, ch.sigma), 0, clock(t0))
-                rec = None
+            P, iterations, rep = RUNNERS[arch](ch, cfg, done)
         except (MilacError, np.linalg.LinAlgError) as exc:
+            done[arch] = exc
             row, rec = _failed_row(spec, L, snr_db, trial, arch, clock(t0), exc)
             rows.append(row)
+        else:
+            wall = clock(t0)
+            done[arch] = rep
+            rows.append(SweepRow(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db,
+                                 trial=trial, architecture=arch,
+                                 sum_rate=sum_rate(ch.H, P, ch.sigma),
+                                 iterations=iterations, wall_time=wall))
+            if rep is not None:
+                rec = report_record(rep, cfg, seed=seed, label=arch)
+                if spec.mode == "convergence":
+                    iter_rows += [(spec.mode, L, spec.K, snr_db, trial, arch, i, float(obj))
+                                  for i, obj in enumerate(rep.objective_history)]
         if rec is not None:
             rec.update(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial)
             if not spec.measure_time:

@@ -2,10 +2,10 @@
 
 The ratio objective is decoupled with per-user auxiliaries alpha (SINR
 surrogate) and beta (quadratic transform), both with closed-form optima.
-The remaining concave quadratic in the precoder is linearized around the
-previous iterate with a positive semidefinite spectral shift and the
-linear maximizer is projected back onto the transmit power sphere, so
-every outer iteration is closed-form and the objective never decreases.
+The remaining concave quadratic in the precoder is maximized exactly over
+the transmit power ball (Shen & Yu, IEEE TSP 2018, the fixed point of
+WMMSE) and scaled onto the power sphere, so every outer iteration is
+closed-form and the objective never decreases.
 
 All rates are in bits (log base 2). The machinery is shape-generic: the
 effective channel may be the reduced K x K matrix or the full L x K one,
@@ -14,8 +14,9 @@ and the precoder variable matches its shape.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .errors import (
 from .mapping import DigitalBeamformer, TwoLayerSolution, map_digital_to_milac
 
 LN2 = float(np.log(2.0))
-XI_RULES = ("spectral", "trace")
+# Newton steps of the power-multiplier root-find; it converges quadratically
+# from below, so the cap only guards against rounding stalls
+MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -37,51 +40,22 @@ class SolverConfig:
     """Knobs of the fractional-programming solver.
 
     Pt is the transmit power (the harness derives it from SNR per sweep
-    point). eps is the relative sum-rate change that stops the outer loop,
-    max_outer caps it, inner_updates is the number of linearize-project
-    steps per outer round, and xi_rule picks the semidefinite shift
-    (spectral is the tightest, trace avoids the eigendecomposition).
-
-    A single inner step per round crawls at high SNR: the projected
-    linear step contracts slowly once the shift dominates, the relative
-    change dips under eps mid-plateau, and the loop can stop well short
-    of the fixed point. Twenty inner steps cost O(K^3) each and drive
-    the beamformer block close enough to its per-round optimum that the
-    outer alternation lands in a handful of iterations.
+    point). eps is the relative sum-rate change that stops the outer loop
+    and max_outer caps it. Each outer round solves its precoder
+    subproblem exactly, so there is no inner loop to tune.
     """
 
     Pt: float = 1.0
     eps: float = 1e-4
     max_outer: int = 500
-    inner_updates: int = 20
-    xi_rule: str = "spectral"
-    xi_margin: float = 1e-9
 
     def __post_init__(self):
         if not (np.isfinite(self.Pt) and self.Pt > 0):
             raise DimensionError(f"Pt must be positive, got {self.Pt}")
         if not (self.eps > 0):
             raise DimensionError(f"eps must be positive, got {self.eps}")
-        if self.max_outer < 1 or self.inner_updates < 1:
-            raise DimensionError("max_outer and inner_updates must be >= 1")
-        if self.xi_rule not in XI_RULES:
-            raise DimensionError(f"xi_rule must be one of {XI_RULES}, got {self.xi_rule!r}")
-        if not (np.isfinite(self.xi_margin) and self.xi_margin >= 0):
-            raise DimensionError(f"xi_margin must be nonnegative, got {self.xi_margin}")
-
-
-@dataclass(frozen=True)
-class FPState:
-    """One snapshot of the alternating updates.
-
-    T is the current precoder, Tbar the linearization point of the last
-    projection step. alpha and beta are the per-user auxiliaries.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    T: np.ndarray
-    Tbar: np.ndarray
+        if self.max_outer < 1:
+            raise DimensionError("max_outer must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -157,30 +131,30 @@ def sum_rate(H, Pmat, sigma) -> float:
     return float(np.sum(user_rates(H, Pmat, sigma)))
 
 
-def update_alpha_beta(state: FPState, Hbar, sigma) -> FPState:
-    """Closed-form optimal auxiliaries at the current precoder.
+def update_alpha_beta(Hbar, T, sigma):
+    """Closed-form optimal auxiliaries (alpha, beta) at the precoder T.
 
     alpha_k is the SINR of user k; beta_k = sqrt(1+alpha_k) h_k^H t_k over
     the total received power plus noise.
     """
-    Hbar, T, sigma = _validate_link(Hbar, state.T, sigma)
+    Hbar, T, sigma = _validate_link(Hbar, T, sigma)
     C, desired, total = _link_powers(Hbar, T)
     noise = sigma**2
     alpha = desired / (total - desired + noise)
     beta = np.sqrt(1.0 + alpha) * np.diagonal(C) / (total + noise)
-    return replace(state, alpha=alpha, beta=beta)
+    return alpha, beta
 
 
-def surrogate_value(state: FPState, Hbar, sigma) -> float:
+def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
     """Value of the decoupled objective at (alpha, beta, T), in bits.
 
     Evaluated two ways, as the per-user sum and as the compact quadratic
     form plus the T-independent terms; the two must agree, which pins down
     the conjugation convention of the linear term.
     """
-    Hbar, T, sigma = _validate_link(Hbar, state.T, sigma)
-    alpha = np.asarray(state.alpha, dtype=float)
-    beta = np.asarray(state.beta, dtype=np.complex128)
+    Hbar, T, sigma = _validate_link(Hbar, T, sigma)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=np.complex128)
     C, _, total = _link_powers(Hbar, T)
     noise = sigma**2
     dk = np.diagonal(C)
@@ -199,27 +173,6 @@ def surrogate_value(state: FPState, Hbar, sigma) -> float:
     return value / LN2
 
 
-def compute_xi(Hbar, beta, rule: str = "spectral", margin: float = 1e-9) -> float:
-    """Semidefinite shift for the linearization step.
-
-    Returns lambda_max (spectral) or the trace (trace rule) of
-    Hbar diag(|beta|^2) Hbar^H, plus the margin. Either choice makes
-    xi I minus that matrix positive semidefinite; the eigenvalue is taken
-    on the K x K Gram form so the cost never depends on the row dimension.
-    """
-    if rule not in XI_RULES:
-        raise DimensionError(f"xi_rule must be one of {XI_RULES}, got {rule!r}")
-    Hbar = np.asarray(Hbar, dtype=np.complex128)
-    b2 = np.abs(np.asarray(beta, dtype=np.complex128)) ** 2
-    if rule == "trace":
-        colpow = np.sum(np.abs(Hbar) ** 2, axis=0)
-        return float(b2 @ colpow) + margin
-    b = np.sqrt(b2)
-    M = (b[:, None] * (Hbar.conj().T @ Hbar)) * b[None, :]
-    lam = float(np.linalg.eigvalsh(M)[-1]) if M.size else 0.0
-    return max(lam, 0.0) + margin
-
-
 def project_power(X, Pt: float) -> np.ndarray:
     """Scale X onto the sphere trace(X X^H) = Pt."""
     X = np.asarray(X, dtype=np.complex128)
@@ -229,23 +182,58 @@ def project_power(X, Pt: float) -> np.ndarray:
     return X * np.sqrt(Pt / nrm2)
 
 
-def update_T(state: FPState, Hbar, sigma, xi: float, Pt: float) -> FPState:
-    """Projected maximizer of the linearized surrogate around Tbar.
+def _power_multiplier(e, w, Pt: float) -> float:
+    """Smallest lam >= 0 with sum_i w_i / (e_i + lam)^2 <= Pt.
 
-    The coefficient matrix is Hbar Sigma1 + (xi I - Hbar Sigma2 Hbar^H) Tbar
-    with Sigma1 = diag(sqrt(1+alpha) beta) and Sigma2 = diag(|beta|^2);
-    its projection onto the power sphere maximizes the linear minorizer,
-    so the step never decreases the surrogate.
+    The sum is the squared norm of T(lam). Newton runs on
+    phi(lam) = 1/sqrt(sum) - 1/sqrt(Pt), which is concave and increasing
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983), so its iterates
+    rise monotonically from lam = 0 to the root, and a first step below 0
+    means T(0) already fits. sqrt(sum(w) / Pt), where the sum is at most
+    Pt, caps the iterates against rounding.
+    """
+    hi = math.sqrt(w.sum() / Pt)
+    lam = 0.0
+    for _ in range(MAX_NEWTON):
+        r = 1.0 / (e + lam)
+        wr2 = w * r * r
+        f = wr2.sum()
+        new = min(lam + f * (math.sqrt(f / Pt) - 1.0) / (wr2 @ r), hi)
+        if new - lam <= 1e-13 * new:
+            return max(new, lam)
+        lam = new
+    return lam
+
+
+def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
+    """Exact maximizer of the round's surrogate, scaled onto the power sphere.
+
+    With alpha and beta fixed the surrogate is the concave quadratic
+    2 Re tr((Hbar Sigma1)^H T) - tr(T^H Hbar Sigma2 Hbar^H T) with
+    Sigma1 = diag(sqrt(1+alpha) beta) and Sigma2 = diag(|beta|^2). Over the
+    ball trace(T T^H) <= Pt it peaks at
+    T(lam) = (Hbar Sigma2 Hbar^H + lam I)^(-1) Hbar Sigma1, with lam = 0 if
+    T(0) fits in the ball and the root of ||T(lam)||^2 = Pt otherwise.
+    With M = Hbar diag(beta), Hbar Sigma2 Hbar^H = M M^H and
+    Hbar Sigma1 = M diag(sqrt(1+alpha)), so
+    T(lam) = M (M^H M + lam I)^(-1) diag(sqrt(1+alpha)) and one K x K
+    eigendecomposition serves every lam whatever the row count of Hbar;
+    null directions of M^H M take the minimum-norm solution. Scaling the
+    maximizer onto the sphere never lowers a user's SINR. If every beta_k
+    is zero the surrogate has no linear term and T is returned unchanged.
     """
     Hbar = np.asarray(Hbar, dtype=np.complex128)
-    Tbar = np.asarray(state.Tbar, dtype=np.complex128)
-    alpha = np.asarray(state.alpha, dtype=float)
-    beta = np.asarray(state.beta, dtype=np.complex128)
-    s1 = np.sqrt(1.0 + alpha) * beta
-    b2 = np.abs(beta) ** 2
-    # (xi I - Hbar Sigma2 Hbar^H) Tbar without forming the m x m matrix
-    X = Hbar * s1[None, :] + xi * Tbar - Hbar @ (b2[:, None] * (Hbar.conj().T @ Tbar))
-    return replace(state, T=project_power(X, Pt))
+    T = np.asarray(T, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    if not beta.any():
+        return T
+    M = Hbar * beta
+    e, V = np.linalg.eigh(M.conj().T @ M)
+    keep = e > len(e) * np.finfo(float).eps * e[-1]
+    e, V = e[keep], V[:, keep]
+    Z = V.conj().T * np.sqrt(1.0 + np.asarray(alpha, dtype=float))
+    lam = _power_multiplier(e, e * (np.abs(Z) ** 2).sum(axis=1), Pt)
+    return project_power(M @ (V @ (Z / (e + lam)[:, None])), Pt)
 
 
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
@@ -268,8 +256,9 @@ def random_init(shape, Pt: float, seed) -> np.ndarray:
 def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """Run the alternating updates on an arbitrary effective channel.
 
-    Returns (state, history, iterations, wall_time). The precoder shape
-    matches Heff; init is projected onto the power sphere if given.
+    Returns (T, history, iterations, wall_time), T being the final
+    precoder. Its shape matches Heff; init is projected onto the power
+    sphere if given.
     """
     Heff = np.asarray(Heff, dtype=np.complex128)
     t0 = time.perf_counter()
@@ -282,17 +271,12 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
                 f"init shape {init.shape} does not match precoder shape {Heff.shape}"
             )
         T = project_power(init, cfg.Pt)
-    K = Heff.shape[1]
-    state = FPState(alpha=np.zeros(K), beta=np.zeros(K, dtype=np.complex128), T=T, Tbar=T)
     history = [sum_rate(Heff, T, sigma)]
     iterations = 0
     for it in range(1, cfg.max_outer + 1):
-        state = update_alpha_beta(state, Heff, sigma)
-        for _ in range(cfg.inner_updates):
-            state = replace(state, Tbar=state.T)
-            xi = compute_xi(Heff, state.beta, cfg.xi_rule, cfg.xi_margin)
-            state = update_T(state, Heff, sigma, xi, cfg.Pt)
-        rate = sum_rate(Heff, state.T, sigma)
+        alpha, beta = update_alpha_beta(Heff, T, sigma)
+        T = update_T(Heff, T, alpha, beta, cfg.Pt)
+        rate = sum_rate(Heff, T, sigma)
         if not np.isfinite(rate):
             raise NonFiniteObjectiveError(f"objective became {rate} at iteration {it}")
         prev = history[-1]
@@ -300,23 +284,22 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
         iterations = it
         if abs(rate - prev) / max(1.0, prev) < cfg.eps:
             break
-    return state, np.asarray(history), iterations, time.perf_counter() - t0
+    return T, np.asarray(history), iterations, time.perf_counter() - t0
 
 
 def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport:
     """Maximize the sum-rate over the reduced K x K precoder.
 
-    Alternates the closed-form auxiliary updates with the projected
-    linearization step until the relative sum-rate change drops below
-    cfg.eps or cfg.max_outer rounds elapse. The returned Pd = Q T lifts
-    the solution back to the antenna domain.
+    Alternates the closed-form auxiliary updates with the exact precoder
+    step until the relative sum-rate change drops below cfg.eps or
+    cfg.max_outer rounds elapse. The returned Pd = Q T lifts the solution
+    back to the antenna domain.
     """
-    state, history, iterations, wall = run_fp(red.Hbar, red.sigma, cfg, init=init)
-    Pd = red.Q @ state.T
+    T, history, iterations, wall = run_fp(red.Hbar, red.sigma, cfg, init=init)
     return SolveReport(
-        T_final=state.T,
-        Pd=Pd,
-        rates=user_rates(red.Hbar, state.T, red.sigma),
+        T_final=T,
+        Pd=red.Q @ T,
+        rates=user_rates(red.Hbar, T, red.sigma),
         sum_rate=float(history[-1]),
         iterations=iterations,
         objective_history=history,
@@ -352,9 +335,6 @@ def report_record(report: SolveReport, cfg: SolverConfig, seed=None, label=None)
             "Pt": cfg.Pt,
             "eps": cfg.eps,
             "max_outer": cfg.max_outer,
-            "inner_updates": cfg.inner_updates,
-            "xi_rule": cfg.xi_rule,
-            "xi_margin": cfg.xi_margin,
         },
         "iterations": report.iterations,
         "sum_rate": report.sum_rate,

@@ -39,6 +39,22 @@ def test_full_dim_matches_reduced():
     assert full.sum_rate == pytest.approx(reduced.sum_rate, rel=1e-3)
 
 
+def test_full_dim_lifts_reduced_solution():
+    # both solvers run the same exact step, so the full L x K iterate is the
+    # lifted reduced one, round for round (criterion 5's grid)
+    grid = [(L, K) for L in (4, 8, 16) for K in (2, 4)]
+    for i in range(100):
+        L, K = grid[i % len(grid)]
+        ch = generate_rayleigh(L, K, seed=i)
+        red = reduce_channel(ch)
+        cfg = SolverConfig(Pt=10.0)
+        reduced = solve_psla(red, cfg)
+        full = solve_full_dim(ch, cfg)
+        lifted = red.Q @ reduced.T_final
+        assert np.linalg.norm(lifted - full.Pd) <= 1e-9 * np.linalg.norm(full.Pd), (L, K, i)
+        assert reduced.iterations == full.iterations, (L, K, i)
+
+
 def test_full_dim_iterates_in_column_space():
     ch = generate_rayleigh(12, 3, seed=8)
     red = reduce_channel(ch)

@@ -1,6 +1,7 @@
 """Monte-Carlo sweep harness and its CLI front end."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,40 @@ def test_run_point_reuses_reduced_solution(tmp_path):
     assert iter_rows == []
 
 
+def test_two_layer_wall_time_excludes_reduced_solve(tmp_path, monkeypatch):
+    import milac.harness as harness
+
+    solve = harness.solve_psla
+
+    def slow_solve(red, cfg):
+        time.sleep(0.05)
+        return solve(red, cfg)
+
+    monkeypatch.setattr(harness, "solve_psla", slow_solve)
+    spec = small_spec(tmp_path, mode="theorem_check", trials=1, measure_time=True)
+    result = run_experiment(spec)
+    assert rows_by_arch(result, "digital_reduced")[0].wall_time >= 0.05
+    assert rows_by_arch(result, "two_layer")[0].wall_time < 0.05
+
+
+def test_two_layer_fails_with_reduced_error(tmp_path, monkeypatch):
+    import milac.harness as harness
+
+    calls = []
+
+    def boom(red, cfg):
+        calls.append(1)
+        raise RankDeficientError("synthetic failure")
+
+    monkeypatch.setattr(harness, "solve_psla", boom)
+    spec = small_spec(tmp_path, mode="theorem_check", trials=1)
+    rows, records, _ = run_point(spec, 8, 10.0, 0)
+    assert len(calls) == 1
+    assert [r.iterations for r in rows] == [-1, -1]
+    assert all(np.isnan(r.sum_rate) for r in rows)
+    assert [rec["error"] for rec in records] == ["RankDeficientError: synthetic failure"] * 2
+
+
 # ----------------------------------------------------------------- CLI
 
 def test_cli_runs_sweep(tmp_path, capsys):
@@ -307,11 +342,18 @@ def test_cli_solver_flags_reach_spec(tmp_path):
     out = tmp_path / "flagged"
     code = main(["convergence", "--L", "8", "--K", "2", "--snr-db", "10",
                  "--trials", "1", "--eps", "1e-3", "--max-iter", "7",
-                 "--inner-updates", "2", "--xi-rule", "trace",
                  "--out", str(out), "--no-timing"])
     assert code == 0
     rec = json.loads((out / "solves.jsonl").read_text().splitlines()[0])
     assert rec["config"]["eps"] == 1e-3
     assert rec["config"]["max_outer"] == 7
-    assert rec["config"]["inner_updates"] == 2
-    assert rec["config"]["xi_rule"] == "trace"
+
+
+def test_cli_rejects_removed_solver_knobs(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--xi-rule", "trace", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inner_updates": 20}))
+    assert main(["convergence", "--config", str(cfg_path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Fractional-programming solver: closed forms, ascent, convergence."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from milac import (
     DegenerateProjectionError,
     DimensionError,
-    FPState,
     InconsistentSolutionError,
     SolveReport,
     SolverConfig,
@@ -29,18 +27,14 @@ from milac import (
     update_alpha_beta,
     user_rates,
 )
-from milac.optimizer import compute_xi, project_power, report_record, run_fp
-
-
-def fresh_state(K, T):
-    return FPState(alpha=np.zeros(K), beta=np.zeros(K, dtype=complex),
-                   T=np.asarray(T, dtype=complex), Tbar=np.asarray(T, dtype=complex))
+from milac.optimizer import project_power, report_record, run_fp
 
 
 def random_point(Hbar, sigma, Pt, seed):
-    K = Hbar.shape[1]
-    T = random_init((Hbar.shape[0], K), Pt, seed)
-    return update_alpha_beta(fresh_state(K, T), Hbar, sigma)
+    """A random precoder on the sphere and its optimal auxiliaries."""
+    T = random_init(Hbar.shape, Pt, seed)
+    alpha, beta = update_alpha_beta(Hbar, T, sigma)
+    return T, alpha, beta
 
 
 # ---------------------------------------------------------------- rates
@@ -105,100 +99,60 @@ def test_dimension_validation():
 
 def test_update_alpha_beta_scalar():
     Hbar = np.ones((1, 1), dtype=complex)
-    st0 = fresh_state(1, np.ones((1, 1)))
-    st1 = update_alpha_beta(st0, Hbar, np.ones(1))
-    assert st1.alpha[0] == pytest.approx(1.0)
-    assert st1.beta[0] == pytest.approx(np.sqrt(2) / 2)
+    alpha, beta = update_alpha_beta(Hbar, np.ones((1, 1)), np.ones(1))
+    assert alpha[0] == pytest.approx(1.0)
+    assert beta[0] == pytest.approx(np.sqrt(2) / 2)
 
 
 def test_update_alpha_beta_zero_precoder():
     Hbar = np.ones((2, 2), dtype=complex)
-    st1 = update_alpha_beta(fresh_state(2, np.zeros((2, 2))), Hbar, np.ones(2))
-    assert np.allclose(st1.alpha, 0.0, atol=0)
-    assert np.allclose(st1.beta, 0.0, atol=0)
-
-
-def surrogate_of(alpha, beta, base, Hbar, sigma):
-    return surrogate_value(replace(base, alpha=alpha, beta=beta), Hbar, sigma)
+    alpha, beta = update_alpha_beta(Hbar, np.zeros((2, 2)), np.ones(2))
+    assert np.allclose(alpha, 0.0, atol=0)
+    assert np.allclose(beta, 0.0, atol=0)
 
 
 def test_alpha_beta_stationarity_finite_difference():
     rng = np.random.default_rng(17)
     Hbar = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     sigma = np.ones(3)
-    st = random_point(Hbar, sigma, Pt=4.0, seed=3)
+    T, alpha, beta = random_point(Hbar, sigma, Pt=4.0, seed=3)
     h = 1e-5
     grad = []
     for k in range(3):
         for field, delta in (("alpha", h), ("beta", h), ("beta", 1j * h)):
-            vec_hi = getattr(st, field).astype(complex).copy()
+            vec_hi = (alpha if field == "alpha" else beta).astype(complex).copy()
             vec_lo = vec_hi.copy()
             vec_hi[k] += delta
             vec_lo[k] -= delta
             if field == "alpha":
-                up = surrogate_of(vec_hi.real, st.beta, st, Hbar, sigma)
-                lo = surrogate_of(vec_lo.real, st.beta, st, Hbar, sigma)
+                up = surrogate_value(Hbar, T, sigma, vec_hi.real, beta)
+                lo = surrogate_value(Hbar, T, sigma, vec_lo.real, beta)
             else:
-                up = surrogate_of(st.alpha, vec_hi, st, Hbar, sigma)
-                lo = surrogate_of(st.alpha, vec_lo, st, Hbar, sigma)
+                up = surrogate_value(Hbar, T, sigma, alpha, vec_hi)
+                lo = surrogate_value(Hbar, T, sigma, alpha, vec_lo)
             grad.append((up - lo) / (2 * h))
     assert np.linalg.norm(grad) <= 1e-6
 
 
 def test_surrogate_zero_state():
     Hbar = np.eye(2, dtype=complex)
-    st = fresh_state(2, np.eye(2))
-    assert surrogate_value(st, Hbar, np.ones(2)) == 0.0
+    assert surrogate_value(Hbar, np.eye(2), np.ones(2), np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_surrogate_scalar_optimum():
     # alpha = 1, beta = sqrt(2)/2 turn the surrogate into the 1-bit rate
     Hbar = np.ones((1, 1), dtype=complex)
-    st = replace(fresh_state(1, np.ones((1, 1))),
-                 alpha=np.array([1.0]), beta=np.array([np.sqrt(2) / 2 + 0j]))
-    assert surrogate_value(st, Hbar, np.ones(1)) == pytest.approx(1.0)
+    value = surrogate_value(Hbar, np.ones((1, 1)), np.ones(1),
+                            np.array([1.0]), np.array([np.sqrt(2) / 2 + 0j]))
+    assert value == pytest.approx(1.0)
 
 
 def test_surrogate_tight_after_update():
     ch = generate_rayleigh(5, 3, seed=23)
     red = reduce_channel(ch)
-    st = random_point(red.Hbar, red.sigma, Pt=10.0, seed=7)
-    assert surrogate_value(st, red.Hbar, red.sigma) == pytest.approx(
-        sum_rate(red.Hbar, st.T, red.sigma), abs=1e-9)
-
-
-# ----------------------------------------------------------- shift
-
-def test_xi_zero_beta():
-    assert compute_xi(np.eye(2, dtype=complex), np.zeros(2)) == pytest.approx(1e-9)
-
-
-def test_xi_scalar():
-    xi = compute_xi(np.ones((1, 1), dtype=complex), np.ones(1))
-    assert xi == pytest.approx(1.0 + 1e-9)
-
-
-@pytest.mark.parametrize("rule", ["spectral", "trace"])
-def test_xi_semidefinite(rule):
-    rng = np.random.default_rng(2)
-    Hbar = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    beta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    xi = compute_xi(Hbar, beta, rule=rule)
-    M = Hbar @ np.diag(np.abs(beta) ** 2) @ Hbar.conj().T
-    eigs = np.linalg.eigvalsh(xi * np.eye(4) - M)
-    assert eigs[0] >= -1e-12
-
-
-def test_xi_trace_dominates_spectral():
-    rng = np.random.default_rng(3)
-    Hbar = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    beta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert compute_xi(Hbar, beta, "trace") >= compute_xi(Hbar, beta, "spectral")
-
-
-def test_xi_bad_rule():
-    with pytest.raises(DimensionError):
-        compute_xi(np.eye(2, dtype=complex), np.ones(2), rule="newton")
+    T, alpha, beta = random_point(red.Hbar, red.sigma, Pt=10.0, seed=7)
+    assert surrogate_value(red.Hbar, T, red.sigma, alpha, beta) == pytest.approx(
+        sum_rate(red.Hbar, T, red.sigma), abs=1e-9)
 
 
 # ------------------------------------------------------- projection
@@ -211,48 +165,78 @@ def test_project_power():
         project_power(np.zeros((2, 2)), Pt=1.0)
 
 
-def test_update_T_idempotent_and_scaling():
-    # with beta = 0 the pre-projection matrix is xi * Tbar
+def test_update_T_zero_beta_keeps_T():
+    # every beta_k = 0 leaves the surrogate without a linear term
     Hbar = np.eye(2, dtype=complex)
     T = project_power(np.array([[1, 2], [3, 4]], dtype=complex), Pt=2.0)
-    st = fresh_state(2, T)
-    for xi in (1.0, 2.0):  # already on the sphere, then scaled by 2
-        out = update_T(st, Hbar, np.ones(2), xi=xi, Pt=2.0)
-        assert np.allclose(out.T, T, atol=1e-12)
+    out = update_T(Hbar, T, np.zeros(2), np.zeros(2, dtype=complex), Pt=2.0)
+    assert np.array_equal(out, T)
 
 
 def test_update_T_on_sphere():
     ch = generate_rayleigh(4, 2, seed=31)
     red = reduce_channel(ch)
-    st = random_point(red.Hbar, red.sigma, Pt=7.0, seed=5)
-    xi = compute_xi(red.Hbar, st.beta)
-    out = update_T(replace(st, Tbar=st.T), red.Hbar, red.sigma, xi, Pt=7.0)
-    assert np.trace(out.T @ out.T.conj().T).real == pytest.approx(7.0, rel=1e-10)
+    T, alpha, beta = random_point(red.Hbar, red.sigma, Pt=7.0, seed=5)
+    out = update_T(red.Hbar, T, alpha, beta, Pt=7.0)
+    assert np.trace(out @ out.conj().T).real == pytest.approx(7.0, rel=1e-10)
 
 
-def linearized_objective(T, st, Hbar, xi):
-    beta = st.beta
-    s1 = np.sqrt(1.0 + st.alpha) * beta
-    M = Hbar @ np.diag(np.abs(beta) ** 2) @ Hbar.conj().T
-    coeff = Hbar @ np.diag(s1) + (xi * np.eye(Hbar.shape[0]) - M) @ st.Tbar
-    return 2.0 * np.real(np.trace(coeff.conj().T @ T))
+@pytest.mark.parametrize("K", [1, 3, 8])
+@pytest.mark.parametrize("Pt", [1.0, 100.0, 1e4])
+def test_update_T_maximizes_round(K, Pt):
+    # the step is the round's maximizer: no point on the sphere has a
+    # higher surrogate, and rate >= surrogate plus the final scaling make
+    # its rate at least the input's
+    rng = np.random.default_rng(K)
+    Hbar = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+    sigma = np.ones(K)
+    T, alpha, beta = random_point(Hbar, sigma, Pt, seed=K + 1)
+    out = update_T(Hbar, T, alpha, beta, Pt)
+    rate = sum_rate(Hbar, out, sigma)
+    assert rate >= sum_rate(Hbar, T, sigma) - 1e-9
+    best = max(surrogate_value(Hbar, random_init((K, K), Pt, seed=s), sigma, alpha, beta)
+               for s in range(200))
+    assert rate >= best - 1e-9
 
 
-def test_update_T_ascends_linearization():
-    ch = generate_rayleigh(5, 3, seed=41)
-    red = reduce_channel(ch)
-    Pt = 10.0
-    st = random_point(red.Hbar, red.sigma, Pt, seed=11)
-    st = replace(st, Tbar=st.T)
-    xi = compute_xi(red.Hbar, st.beta)
-    out = update_T(st, red.Hbar, red.sigma, xi, Pt)
-    f_new = linearized_objective(out.T, st, red.Hbar, xi)
-    f_old = linearized_objective(st.Tbar, st, red.Hbar, xi)
-    assert f_new >= f_old - 1e-9
-    # the PSD shift turns the linear ascent into a surrogate ascent
-    s_new = surrogate_value(out, red.Hbar, red.sigma)
-    s_old = surrogate_value(st, red.Hbar, red.sigma)
-    assert s_new >= s_old - 1e-9
+def dense_round_maximizer(Hbar, alpha, beta, Pt):
+    """The round's maximizer from the m x m system, lam found by bisection."""
+    m = Hbar.shape[0]
+    A = Hbar @ np.diag(np.abs(beta) ** 2) @ Hbar.conj().T
+    B = Hbar @ np.diag(np.sqrt(1.0 + alpha) * beta)
+
+    def T_of(lam):
+        return np.linalg.lstsq(A + lam * np.eye(m), B, rcond=None)[0]
+
+    def power(lam):
+        return np.sum(np.abs(T_of(lam)) ** 2)
+
+    lo, hi = 0.0, 1.0
+    if power(lo) > Pt:
+        while power(hi) > Pt:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if power(mid) > Pt else (lo, mid)
+        lo = hi
+    return project_power(T_of(lo), Pt)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (6, 3), (8, 8)])
+@pytest.mark.parametrize("Pt", [0.1, 10.0, 1e4])
+@pytest.mark.parametrize("beta_scale", [1.0, 100.0])
+def test_update_T_matches_dense_reference(shape, Pt, beta_scale):
+    # the K x K eigendecomposition route equals the m x m Lagrangian solve,
+    # also when the precoder has more rows than users (full dimension); a
+    # scaled-up beta shrinks T(0) inside the ball, where lam = 0
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    Hbar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sigma = np.ones(shape[1])
+    T, alpha, beta = random_point(Hbar, sigma, Pt, seed=3)
+    beta = beta_scale * beta
+    out = update_T(Hbar, T, alpha, beta, Pt)
+    ref = dense_round_maximizer(Hbar, alpha, beta, Pt)
+    assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------------ inits
@@ -284,12 +268,6 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(DimensionError):
         SolverConfig(max_outer=0)
-    with pytest.raises(DimensionError):
-        SolverConfig(inner_updates=0)
-    with pytest.raises(DimensionError):
-        SolverConfig(xi_rule="fastest")
-    with pytest.raises(DimensionError):
-        SolverConfig(xi_margin=-1.0)
 
 
 def test_report_rejects_decreasing_history():
@@ -327,17 +305,11 @@ def test_iterates_stay_on_sphere():
     ch = generate_rayleigh(8, 3, seed=7)
     red = reduce_channel(ch)
     Pt = 10.0
-    cfg = SolverConfig(Pt=Pt, inner_updates=3)
     T = matched_filter_init(red.Hbar, Pt)
-    st = fresh_state(3, T)
     for _ in range(20):
-        st = update_alpha_beta(st, red.Hbar, red.sigma)
-        for _ in range(cfg.inner_updates):
-            st = replace(st, Tbar=st.T)
-            xi = compute_xi(red.Hbar, st.beta, cfg.xi_rule, cfg.xi_margin)
-            st = update_T(st, red.Hbar, red.sigma, xi, Pt)
-            assert np.trace(st.T @ st.T.conj().T).real == pytest.approx(
-                Pt, rel=1e-10)
+        alpha, beta = update_alpha_beta(red.Hbar, T, red.sigma)
+        T = update_T(red.Hbar, T, alpha, beta, Pt)
+        assert np.trace(T @ T.conj().T).real == pytest.approx(Pt, rel=1e-10)
 
 
 def test_fixed_point_residual_at_convergence():
@@ -345,11 +317,9 @@ def test_fixed_point_residual_at_convergence():
     red = reduce_channel(ch)
     cfg = SolverConfig(Pt=50.0)
     rep = solve_psla(red, cfg)
-    st = update_alpha_beta(fresh_state(4, rep.T_final), red.Hbar, red.sigma)
-    st = replace(st, Tbar=st.T)
-    xi = compute_xi(red.Hbar, st.beta, cfg.xi_rule, cfg.xi_margin)
-    out = update_T(st, red.Hbar, red.sigma, xi, cfg.Pt)
-    residual = np.linalg.norm(out.T - rep.T_final) / np.sqrt(cfg.Pt)
+    alpha, beta = update_alpha_beta(red.Hbar, rep.T_final, red.sigma)
+    out = update_T(red.Hbar, rep.T_final, alpha, beta, cfg.Pt)
+    residual = np.linalg.norm(out - rep.T_final) / np.sqrt(cfg.Pt)
     assert residual <= 10 * cfg.eps
 
 
@@ -366,8 +336,8 @@ def test_custom_init_and_bad_shape():
 
 def test_run_fp_works_full_dimension():
     ch = generate_rayleigh(6, 2, seed=9)
-    state, history, iterations, wall = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
-    assert state.T.shape == (6, 2)
+    T, history, iterations, wall = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
+    assert T.shape == (6, 2)
     assert np.all(np.diff(history) >= -1e-8)
     assert iterations >= 1 and wall >= 0.0
 
@@ -416,6 +386,6 @@ def test_solver_invariants_property(shape, seed, Pt):
     assert np.all(np.diff(rep.objective_history) >= -1e-8)
     assert np.trace(rep.T_final @ rep.T_final.conj().T).real == pytest.approx(
         Pt, rel=1e-9)
-    st = update_alpha_beta(fresh_state(K, rep.T_final), red.Hbar, red.sigma)
-    assert surrogate_value(st, red.Hbar, red.sigma) == pytest.approx(
+    alpha, beta = update_alpha_beta(red.Hbar, rep.T_final, red.sigma)
+    assert surrogate_value(red.Hbar, rep.T_final, red.sigma, alpha, beta) == pytest.approx(
         rep.sum_rate, abs=1e-9)
