@@ -38,7 +38,7 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     reduction; used to validate that the reduction loses nothing. The
     L x K iterate is reported in the Pd field and T_final is None.
     """
-    T, history, iterations, wall = run_fp(ch.H, ch.sigma, cfg, init=init)
+    T, history, iterations, wall, stop_reason = run_fp(ch.H, ch.sigma, cfg, init=init)
     return SolveReport(
         T_final=None,
         Pd=T,
@@ -47,6 +47,7 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
         iterations=iterations,
         objective_history=history,
         wall_time=wall,
+        stop_reason=stop_reason,
     )
 
 
@@ -65,19 +66,15 @@ def zero_forcing(ch: ChannelSet, Pt: float) -> np.ndarray:
     return np.sqrt(Pt / ch.K) * (D / norms[None, :])
 
 
-def _batch_sum_rate(Hc, X, noise):
-    # Hc = Hbar^H precomputed; X stacks precoders along axis 0
-    C = Hc @ X
-    p = np.abs(C) ** 2
-    desired = np.diagonal(p, axis1=1, axis2=2)
-    total = p.sum(axis=2)
-    gamma = desired / (total - desired + noise[None, :])
-    return np.log1p(gamma).sum(axis=1) / LN2
+def _abs2(z):
+    return z.real**2 + z.imag**2
 
 
-def _project_batch(X, Pt):
-    nrm2 = np.sum(np.abs(X) ** 2, axis=(1, 2))
-    return X * np.sqrt(Pt / nrm2)[:, None, None]
+def _batch_sum_rate(desired, total, noise):
+    # per-sample sum rate from each user's desired and total received
+    # power; users along axis 0, samples along axis 1
+    gamma = desired / (total - desired + noise)
+    return np.log1p(gamma).sum(axis=0) / LN2
 
 
 def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConfig()) -> float:
@@ -89,10 +86,19 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
     onto the sphere) and halves a sample's step size after a sweep without
     improvement. The search never looks at the solver being audited.
 
+    The projection is kept implicit: each sample stores an unscaled X with
+    its squared norm n, and stands for the point sqrt(Pt / n) X on the
+    sphere. A step on entry (i, j) then changes only X[i, j], column j of
+    C = Hbar^H X and n, and each SINR of the projected point,
+    c^2 d / (c^2 t - c^2 d + sigma^2) with c^2 = Pt / n, is evaluated from
+    the unscaled powers d and t. A step costs O(samples * K) elementwise
+    work, not a copy and a batched product of the whole sample tensor.
+
     Deterministic given cfg.seed. Each sample's randomness occupies its own
-    contiguous generator block and the polish is noise-free, so enlarging
-    `samples` keeps earlier samples' results unchanged and the best-of-N
-    value is non-decreasing in N. Limited to 2*L*K <= 8 real dimensions.
+    contiguous generator block and the polish is noise-free and
+    elementwise, so enlarging `samples` keeps earlier samples' results
+    unchanged and the best-of-N value is non-decreasing in N. Limited to
+    2*L*K <= 8 real dimensions.
     """
     if 2 * ch.L * ch.K > 8:
         raise DimensionTooLargeError(
@@ -100,13 +106,19 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
         )
     red = reduce_channel(ch)
     K = ch.K
-    noise = red.sigma**2
+    noise = (red.sigma**2)[:, None]
     Hc = red.Hbar.conj().T
     rng = np.random.default_rng(cfg.seed)
     draws = rng.standard_normal((cfg.samples, 2, K, K))
-    X = np.ascontiguousarray(draws[:, 0] + 1j * draws[:, 1])
-    X = _project_batch(X, Pt)
-    vals = _batch_sum_rate(Hc, X, noise)
+    # samples along the last axis, so every entry X[i, j] is one contiguous vector
+    X = np.moveaxis(draws[:, 0] + 1j * draws[:, 1], 0, -1).copy()
+    X *= np.sqrt(Pt / _abs2(X).sum(axis=(0, 1)))
+    nrm2 = _abs2(X).sum(axis=(0, 1))
+    # C[k, b] = hbar_k^H x_b: column b is beam b seen by every user
+    C = (Hc[:, :, None, None] * X[None]).sum(axis=1)
+    p = _abs2(C)
+    users = np.arange(K)
+    vals = _batch_sum_rate(p[users, users], p.sum(axis=1), noise * (nrm2 / Pt))
     delta = np.full(cfg.samples, cfg.step_size * np.sqrt(Pt))
     steps = [sgn * unit for unit in (1.0, 1.0j) for sgn in (1.0, -1.0)]
     for _ in range(cfg.polish_steps):
@@ -114,14 +126,25 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
         for i in range(K):
             for j in range(K):
                 for step in steps:
-                    cand = X.copy()
-                    cand[:, i, j] += delta * step
-                    cand = _project_batch(cand, Pt)
-                    cvals = _batch_sum_rate(Hc, cand, noise)
+                    # delta is measured on the sphere, where X is scaled by sqrt(Pt / n)
+                    ds = (delta * step) * np.sqrt(nrm2 / Pt)
+                    x_ij = X[i, j] + ds
+                    cand_nrm2 = nrm2 - _abs2(X[i, j]) + _abs2(x_ij)
+                    col = C[:, j] + ds * Hc[:, i, None]
+                    pcol = _abs2(col)
+                    total = pcol.copy()
+                    for b in range(K):
+                        if b != j:
+                            total += p[:, b]
+                    desired = p[users, users]
+                    desired[j] = pcol[j]
+                    cvals = _batch_sum_rate(desired, total, noise * (cand_nrm2 / Pt))
                     better = cvals > vals
-                    if np.any(better):
-                        X[better] = cand[better]
-                        vals[better] = cvals[better]
-                        improved |= better
+                    np.copyto(X[i, j], x_ij, where=better)
+                    np.copyto(C[:, j], col, where=better)
+                    np.copyto(p[:, j], pcol, where=better)
+                    np.copyto(nrm2, cand_nrm2, where=better)
+                    np.copyto(vals, cvals, where=better)
+                    improved |= better
         delta[~improved] *= 0.5
     return float(vals.max())

@@ -1,10 +1,16 @@
 """Closed-form realization of an arbitrary digital beamformer on two
 cascaded lossless reciprocal multiports with per-stream amplifiers.
 
-The construction factors Pd = U S V^H and places V^H blocks in the first
-network, U1 blocks in the second, and 4S in the amplifier gains; the two
-half factors of the matched-port transfer blocks cancel the 4, so the
-effective beamformer reproduces Pd exactly.
+The construction takes the thin SVD Pd = U1 S V^H and places V^H blocks
+in the first network, U1 blocks in the second, and 4S in the amplifier
+gains; the two half factors of the matched-port transfer blocks cancel the
+4, so the effective beamformer reproduces Pd exactly. The second network's
+lower-right block is -U2 U2^T for an orthonormal complement U2 of U1,
+taken from the K Householder reflectors of U1 in compact-WY form
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989) and assembled
+without forming any L x L unitary, so the mapping costs O(L^2 K). The
+lossless-reciprocal checks on the (L+K)-port result stay dense and cost
+O((L+K)^3).
 """
 
 from __future__ import annotations
@@ -77,18 +83,16 @@ class TwoLayerSolution:
     """Scattering matrices, amplifier gains, and the beamformers they induce.
 
     Theta is the 2K-port first layer, Phi the (L+K)-port second layer,
-    Psqrt the K x K diagonal amplifier amplitude gains. F and W are the
-    half-scaled transfer blocks and G = W Psqrt F the effective beamformer.
-    Construction re-derives F, W, G from the scattering blocks and rejects
-    inconsistent inputs, so deserialized solutions are validated.
+    Psqrt the K x K diagonal amplifier amplitude gains. Construction checks
+    that Theta and Phi are lossless reciprocal and Psqrt diagonal and
+    nonnegative, so deserialized solutions are validated. F and W, the
+    half-scaled transfer blocks, and the effective beamformer
+    G = W Psqrt F are derived from them on access.
     """
 
     Theta: ScatteringMatrix
     Phi: ScatteringMatrix
     Psqrt: np.ndarray
-    F: np.ndarray
-    W: np.ndarray
-    G: np.ndarray
 
     def __post_init__(self):
         theta = self.Theta if isinstance(self.Theta, ScatteringMatrix) else ScatteringMatrix(S=self.Theta)
@@ -107,23 +111,8 @@ class TwoLayerSolution:
                     f"{rep.unitarity_residual:.3e}, symmetry {rep.symmetry_residual:.3e}"
                 )
         Psqrt = _check_diag_nonneg(self.Psqrt, K)
-        F = np.asarray(self.F, dtype=np.complex128)
-        W = np.asarray(self.W, dtype=np.complex128)
-        G = np.asarray(self.G, dtype=np.complex128)
-        ref_F = theta.S[K:, :K] / 2.0
-        ref_W = phi.S[K:, :K] / 2.0
-        ref_G = ref_W @ Psqrt @ ref_F
-        for name, got, ref in (("F", F, ref_F), ("W", W, ref_W), ("G", G, ref_G)):
-            if got.shape != ref.shape:
-                raise DimensionError(f"{name} has shape {got.shape}, expected {ref.shape}")
-            if np.linalg.norm(got - ref) > 1e-10 * max(1.0, np.linalg.norm(ref)):
-                raise InconsistentSolutionError(
-                    f"{name} disagrees with the scattering blocks"
-                )
-        for name, arr in (("Psqrt", Psqrt), ("F", F), ("W", W), ("G", G)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        Psqrt.setflags(write=False)
+        object.__setattr__(self, "Psqrt", Psqrt)
         object.__setattr__(self, "Theta", theta)
         object.__setattr__(self, "Phi", phi)
 
@@ -134,6 +123,21 @@ class TwoLayerSolution:
     @property
     def L(self) -> int:
         return self.Phi.n - self.K
+
+    @property
+    def F(self) -> np.ndarray:
+        """Input-layer transfer block Theta21 / 2 (K x K)."""
+        return self.Theta.S[self.K:, :self.K] / 2.0
+
+    @property
+    def W(self) -> np.ndarray:
+        """Output-layer transfer block Phi21 / 2 (L x K)."""
+        return self.Phi.S[self.K:, :self.K] / 2.0
+
+    @property
+    def G(self) -> np.ndarray:
+        """Effective beamformer W Psqrt F (L x K)."""
+        return self.W @ self.Psqrt @ self.F
 
 
 def _check_diag_nonneg(S, K: int = None) -> np.ndarray:
@@ -163,62 +167,89 @@ def power_step(S, p_amp: float) -> np.ndarray:
     trace(16 S^2) exceeds the budget the whole diagonal is scaled down by
     sqrt(p_amp / trace(16 S^2)).
     """
+    return np.diag(_amplitudes(np.diag(_check_diag_nonneg(S)), p_amp))
+
+
+def _amplitudes(s: np.ndarray, p_amp: float) -> np.ndarray:
+    # power_step on the diagonal s, already known to be real and nonnegative
     if not (np.isfinite(p_amp) and p_amp > 0):
         raise DimensionError(f"p_amp must be positive, got {p_amp}")
-    S = _check_diag_nonneg(S)
-    gain = 4.0 * S
-    used = float(np.sum(np.diag(gain) ** 2))
+    gain = 4.0 * s
+    used = float(np.sum(gain ** 2))
     if used > p_amp:
         gain = gain * np.sqrt(p_amp / used)
     return gain
 
 
+def _second_layer(U1: np.ndarray) -> np.ndarray:
+    """(L+K)-port scattering matrix [[0, U1^T], [U1, -U2 U2^T]].
+
+    U2 is the orthonormal complement of U1 given by its K Householder
+    reflectors: np.linalg.qr(U1, mode="raw") returns them as a unit
+    lower-trapezoidal V and scalars tau, and in compact-WY form their
+    product is Q = I - Y V^H with Y = V T, T upper triangular
+    (Schreiber & Van Loan 1989), and U2 = Q[:, K:]. With
+    E = diag(0_K, I_(L-K)), b = E conj(V) and C = V^H E conj(V),
+    U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y C Y^T,
+    so -U2 U2^T = X + X^T - E for X = Y (b^T - C Y^T / 2): one L x K by
+    K x L product, and the sum is symmetric to the last bit. T comes from
+    the forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i],
+    which stays finite when LAPACK returns tau_i = 0 for a column that is
+    already a unit vector.
+    """
+    L, K = U1.shape
+    h, tau = np.linalg.qr(U1, mode="raw")
+    V = np.tril(h.T, -1)
+    np.fill_diagonal(V, 1.0)
+    VhV = V.conj().T @ V
+    T = np.diag(tau)
+    for i in range(1, K):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
+    Y = V @ T
+    b = V[K:].conj()  # the nonzero rows of E conj(V)
+    Z = (b.T @ b) @ Y.T * -0.5
+    Z[:, K:] += b.T
+    X = Y @ Z
+    X.flat[K * (L + 1)::L + 1] -= 0.5  # X - E/2, so the sum below carries -E
+    Phi = np.zeros((L + K, L + K), dtype=np.complex128)
+    Phi[:K, K:] = U1.T
+    Phi[K:, :K] = U1
+    np.add(X, X.T, out=Phi[K:, K:])
+    return Phi
+
+
 def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoLayerSolution:
     """Realize a digital beamformer on the two-layer analog architecture.
 
-    Factors Pd = U S V^H and builds the first-layer scattering matrix from
-    V, the second-layer one from U1 = U[:, :K] (with -U2 U2^T completing
-    the lossless reciprocal structure), and amplifier gains 4S. The
-    effective beamformer G then equals Pd exactly up to rounding.
+    Takes the thin SVD Pd = U1 S V^H and builds the first-layer
+    scattering matrix from V, the second-layer one from U1 with
+    Phi22 = -U2 U2^T completing the lossless reciprocal structure, and
+    amplifier gains 4S. The effective beamformer G then equals Pd exactly
+    up to rounding. U2 is the orthonormal complement of U1 given by the
+    Householder QR factor of U1 (see _second_layer). Any orthonormal
+    complement gives an exact layer; this one is built from U1, not Pd, so
+    it stays orthogonal to U1 when Pd is rank deficient. The construction
+    costs O(L^2 K); the dense lossless-reciprocal checks of the resulting
+    TwoLayerSolution cost O((L+K)^3) and dominate at large L.
 
     amp_budget bounds trace(P) of the amplifier power; it defaults to
     16 * Pt, the exact power the construction needs, so radiated power
     equals trace(Pd Pd^H). A smaller budget uniformly shrinks G.
     """
-    L, K = d.L, d.K
-    U, s, Vh = np.linalg.svd(d.Pd)
-    U1, U2 = U[:, :K], U[:, K:]
+    K = d.K
+    U1, s, Vh = np.linalg.svd(d.Pd, full_matrices=False)
     Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
     Theta[:K, K:] = Vh.T
     Theta[K:, :K] = Vh
-    N = L + K
-    Phi = np.zeros((N, N), dtype=np.complex128)
-    Phi[:K, K:] = U1.T
-    Phi[K:, :K] = U1
-    Phi[K:, K:] = -U2 @ U2.T
     budget = 16.0 * d.Pt if amp_budget is None else amp_budget
-    Psqrt = power_step(np.diag(s), budget)
-    F = Theta[K:, :K] / 2.0
-    W = Phi[K:, :K] / 2.0
-    G = W @ Psqrt @ F
-    return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta), Phi=ScatteringMatrix(S=Phi),
-                            Psqrt=Psqrt, F=F, W=W, G=G)
+    return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
+                            Phi=ScatteringMatrix(S=_second_layer(U1)),
+                            Psqrt=np.diag(_amplitudes(s, budget)))
 
 
 def effective_beamformer(sol: TwoLayerSolution) -> np.ndarray:
-    """End-to-end beamformer of a two-layer solution.
-
-    Computes W Psqrt F and the equivalent quarter-scaled scattering-block
-    product Phi21 Psqrt Theta21 / 4, checks they agree, and returns the
-    result. Disagreement beyond 1e-10 relative signals a corrupted
-    solution and raises InconsistentSolutionError.
-    """
-    K = sol.K
-    via_blocks = sol.Phi.S[K:, :K] @ sol.Psqrt @ sol.Theta.S[K:, :K] / 4.0
-    G = sol.W @ sol.Psqrt @ sol.F
-    if np.linalg.norm(G - via_blocks) > 1e-10 * max(1.0, np.linalg.norm(G)):
-        raise InconsistentSolutionError("beamformer blocks disagree with scattering matrices")
-    return G
+    """End-to-end beamformer W Psqrt F of a two-layer solution (sol.G)."""
+    return sol.G
 
 
 def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1e-10) -> PhiFeasibilityReport:
@@ -259,16 +290,8 @@ def save_solution(dirpath, sol: TwoLayerSolution) -> None:
 
 
 def load_solution(dirpath) -> TwoLayerSolution:
-    """Read a solution directory back, re-deriving F, W, G from the blocks."""
+    """Read a solution directory back; construction validates it."""
     d = Path(dirpath)
-    Theta = matio.load_matrix(d / "theta.txt")
-    Phi = matio.load_matrix(d / "phi.txt")
-    Psqrt = matio.load_matrix(d / "psqrt.txt")
-    if Theta.shape[0] % 2 != 0:
-        raise DimensionError(f"theta.txt must hold a 2K x 2K matrix, got {Theta.shape}")
-    K = Theta.shape[0] // 2
-    Psqrt = _check_diag_nonneg(Psqrt, K)
-    F = Theta[K:, :K] / 2.0
-    W = Phi[K:, :K] / 2.0
-    return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta), Phi=ScatteringMatrix(S=Phi),
-                            Psqrt=Psqrt, F=F, W=W, G=W @ Psqrt @ F)
+    return TwoLayerSolution(Theta=ScatteringMatrix(S=matio.load_matrix(d / "theta.txt")),
+                            Phi=ScatteringMatrix(S=matio.load_matrix(d / "phi.txt")),
+                            Psqrt=matio.load_matrix(d / "psqrt.txt"))

@@ -65,7 +65,8 @@ class SolveReport:
     T_final is the reduced K x K precoder (None for the full-dimension
     solver, whose iterate is the L x K matrix reported in Pd). The
     objective history includes the initial point and is non-decreasing up
-    to rounding.
+    to rounding. stop_reason is "tol" when the relative sum-rate change
+    fell below eps and "cap" when max_outer rounds ran out first.
     """
 
     T_final: np.ndarray
@@ -75,6 +76,7 @@ class SolveReport:
     iterations: int
     objective_history: np.ndarray
     wall_time: float
+    stop_reason: str
 
     def __post_init__(self):
         hist = np.asarray(self.objective_history, dtype=float)
@@ -256,9 +258,9 @@ def random_init(shape, Pt: float, seed) -> np.ndarray:
 def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """Run the alternating updates on an arbitrary effective channel.
 
-    Returns (T, history, iterations, wall_time), T being the final
-    precoder. Its shape matches Heff; init is projected onto the power
-    sphere if given.
+    Returns (T, history, iterations, wall_time, stop_reason), T being the
+    final precoder and stop_reason "tol" or "cap" (see SolveReport). T's
+    shape matches Heff; init is projected onto the power sphere if given.
     """
     Heff = np.asarray(Heff, dtype=np.complex128)
     t0 = time.perf_counter()
@@ -273,6 +275,7 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
         T = project_power(init, cfg.Pt)
     history = [sum_rate(Heff, T, sigma)]
     iterations = 0
+    stop_reason = "cap"
     for it in range(1, cfg.max_outer + 1):
         alpha, beta = update_alpha_beta(Heff, T, sigma)
         T = update_T(Heff, T, alpha, beta, cfg.Pt)
@@ -283,8 +286,9 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
         history.append(rate)
         iterations = it
         if abs(rate - prev) / max(1.0, prev) < cfg.eps:
+            stop_reason = "tol"
             break
-    return T, np.asarray(history), iterations, time.perf_counter() - t0
+    return T, np.asarray(history), iterations, time.perf_counter() - t0, stop_reason
 
 
 def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport:
@@ -295,7 +299,7 @@ def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport
     cfg.max_outer rounds elapse. The returned Pd = Q T lifts the solution
     back to the antenna domain.
     """
-    T, history, iterations, wall = run_fp(red.Hbar, red.sigma, cfg, init=init)
+    T, history, iterations, wall, stop_reason = run_fp(red.Hbar, red.sigma, cfg, init=init)
     return SolveReport(
         T_final=T,
         Pd=red.Q @ T,
@@ -304,6 +308,7 @@ def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport
         iterations=iterations,
         objective_history=history,
         wall_time=wall,
+        stop_reason=stop_reason,
     )
 
 
@@ -337,6 +342,7 @@ def report_record(report: SolveReport, cfg: SolverConfig, seed=None, label=None)
             "max_outer": cfg.max_outer,
         },
         "iterations": report.iterations,
+        "stop_reason": report.stop_reason,
         "sum_rate": report.sum_rate,
         "rates": [float(r) for r in report.rates],
         "objective_history": [float(v) for v in report.objective_history],

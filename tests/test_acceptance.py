@@ -60,12 +60,14 @@ def random_beamformer(L, K, Pt, seed):
 
 
 def test_criterion_1_mapping_exactness(capsys):
-    # 1000 random digital beamformers across the (L, K) grid map to analog
+    # 1000 random digital beamformers across the (L, K) grid, plus a few at
+    # array scale (L=512, K=8) and full load (L=K=64), map to analog
     # networks that reproduce them to 1e-9 and are unitary-symmetric to 1e-10.
     with checklist_line(capsys, 1, "digital-to-analog exactness"):
         grid = [(L, K) for L in (2, 4, 8, 32) for K in (1, 2, 4, 8) if K <= L]
-        for i in range(1000):
-            L, K = grid[i % len(grid)]
+        cases = [(*grid[i % len(grid)], i) for i in range(1000)]
+        cases += [(L, K, 5000 + i) for L, K in ((512, 8), (64, 64)) for i in range(4)]
+        for L, K, i in cases:
             d = random_beamformer(L, K, Pt=1.0 + (i % 7), seed=i)
             sol = map_digital_to_milac(d)
             err = np.linalg.norm(sol.G - d.Pd) / np.linalg.norm(d.Pd)

@@ -137,6 +137,53 @@ def test_oracle_deterministic():
     assert brute_force_oracle(ch, 5.0, cfg) == brute_force_oracle(ch, 5.0, cfg)
 
 
+def _direct_compass_search(ch, Pt, cfg):
+    # the oracle's search written out plainly: each step copies every
+    # sample, projects it onto the sphere and evaluates it from scratch
+    red = reduce_channel(ch)
+    K = ch.K
+    noise = red.sigma**2
+    Hc = red.Hbar.conj().T
+
+    def project(X):
+        return X * np.sqrt(Pt / np.sum(np.abs(X) ** 2, axis=(1, 2)))[:, None, None]
+
+    def rates(X):
+        p = np.abs(Hc @ X) ** 2
+        d = np.diagonal(p, axis1=1, axis2=2)
+        return np.log2(1 + d / (p.sum(axis=2) - d + noise)).sum(axis=1)
+
+    draws = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, K, K))
+    X = project(draws[:, 0] + 1j * draws[:, 1])
+    vals = rates(X)
+    delta = np.full(cfg.samples, cfg.step_size * np.sqrt(Pt))
+    for _ in range(cfg.polish_steps):
+        improved = np.zeros(cfg.samples, dtype=bool)
+        for i in range(K):
+            for j in range(K):
+                for step in (1.0, -1.0, 1.0j, -1.0j):
+                    cand = X.copy()
+                    cand[:, i, j] += delta * step
+                    cand = project(cand)
+                    cvals = rates(cand)
+                    better = cvals > vals
+                    X[better] = cand[better]
+                    vals[better] = cvals[better]
+                    improved |= better
+        delta[~improved] *= 0.5
+    return float(vals.max())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_oracle_matches_direct_search(seed):
+    # the implicit projection and one-column updates change only rounding
+    ch = generate_rayleigh(2, 2, seed=seed)
+    for Pt in (1.0, 10.0):
+        cfg = OracleConfig(samples=300, seed=seed)
+        assert brute_force_oracle(ch, Pt, cfg) == pytest.approx(
+            _direct_compass_search(ch, Pt, cfg), rel=1e-12)
+
+
 def test_oracle_dimension_guard():
     ch = generate_rayleigh(3, 2, seed=0)
     with pytest.raises(DimensionTooLargeError):

@@ -11,6 +11,7 @@ from milac import (
     DigitalBeamformer,
     DimensionError,
     NegativeEntryError,
+    TwoLayerSolution,
     check_lossless_reciprocal,
     effective_beamformer,
     generate_rayleigh,
@@ -109,8 +110,7 @@ def test_effective_beamformer_identity():
 
 def test_effective_beamformer_zero_gains():
     sol = map_digital_to_milac(DigitalBeamformer(Pd=np.eye(2, dtype=complex), Pt=2.0))
-    dead = dataclasses.replace(
-        sol, Psqrt=np.zeros((2, 2)), G=np.zeros((2, 2), dtype=complex))
+    dead = dataclasses.replace(sol, Psqrt=np.zeros((2, 2)))
     assert np.allclose(effective_beamformer(dead), 0.0, atol=0)
 
 
@@ -178,7 +178,66 @@ def test_solution_serialization(tmp_path):
     assert np.array_equal(out.Theta.S, sol.Theta.S)
     assert np.array_equal(out.Phi.S, sol.Phi.S)
     assert np.array_equal(out.Psqrt, sol.Psqrt)
-    assert np.allclose(out.G, sol.G, atol=1e-12)
+    assert np.array_equal(out.F, sol.F)
+    assert np.array_equal(out.W, sol.W)
+    assert np.array_equal(out.G, sol.G)
+
+
+def test_derived_blocks_follow_scattering_matrices():
+    sol = map_digital_to_milac(random_beamformer(7, 3, Pt=2.0, seed=31))
+    assert np.array_equal(sol.F, sol.Theta.S[3:, :3] / 2)
+    assert np.array_equal(sol.W, sol.Phi.S[3:, :3] / 2)
+    assert np.array_equal(sol.G, sol.W @ sol.Psqrt @ sol.F)
+    with pytest.raises(TypeError):
+        TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=sol.Psqrt, G=sol.G)
+
+
+def _scaled(Pd):
+    Pd = np.asarray(Pd, dtype=complex)
+    return DigitalBeamformer(Pd=Pd / np.linalg.norm(Pd), Pt=1.0)
+
+
+def _one_zero_singular_value():
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    return _scaled(np.hstack([A, A @ np.array([[1.0], [2.0 - 1j]])]))
+
+
+COMPLEMENT_CASES = {
+    "square": lambda: random_beamformer(5, 5, Pt=1.0, seed=40),
+    "single_stream": lambda: random_beamformer(7, 1, Pt=1.0, seed=41),
+    "one_spare_antenna": lambda: random_beamformer(6, 5, Pt=1.0, seed=42),
+    "large_array": lambda: random_beamformer(512, 8, Pt=1.0, seed=43),
+    "real": lambda: _scaled(np.random.default_rng(44).standard_normal((10, 3))),
+    "axis_aligned_2x1": lambda: _scaled([[1.0], [0.0]]),
+    "axis_aligned_5x2": lambda: _scaled(np.eye(5)[:, :2]),
+    "one_zero_singular_value": _one_zero_singular_value,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
+def test_complement_layer(case):
+    d = COMPLEMENT_CASES[case]()
+    sol = map_digital_to_milac(d)
+    L, K = d.L, d.K
+    # the U1 the layer was built from sits in Phi21 unscaled
+    U1 = sol.Phi.S[K:, :K]
+    assert np.linalg.norm(U1.conj().T @ U1 - np.eye(K)) <= 1e-12
+    assert verify_phi_feasibility(sol.Phi, U1, tol=1e-10).passed
+    Phi22 = sol.Phi.S[K:, K:]
+    target = np.eye(L) - U1 @ U1.conj().T
+    assert np.linalg.norm(Phi22 @ Phi22.conj().T - target) <= 1e-12
+    assert check_lossless_reciprocal(sol.Phi).symmetry_residual == 0.0
+    assert np.linalg.norm(sol.G - d.Pd) <= 1e-12 * max(1.0, np.linalg.norm(d.Pd))
+
+
+def test_axis_aligned_column_has_zero_reflector():
+    # LAPACK leaves a column that already equals e_i unreflected (tau = 0),
+    # which the triangular-factor recurrence must survive
+    for d in (_scaled([[1.0], [0.0]]), _scaled(np.eye(5)[:, :2])):
+        U1 = map_digital_to_milac(d).Phi.S[d.K:, :d.K]
+        _, tau = np.linalg.qr(U1, mode="raw")
+        assert np.any(tau == 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -274,7 +274,8 @@ def test_report_rejects_decreasing_history():
     with pytest.raises(InconsistentSolutionError):
         SolveReport(T_final=None, Pd=np.eye(2, dtype=complex),
                     rates=np.ones(2), sum_rate=2.0, iterations=1,
-                    objective_history=np.array([2.0, 1.0]), wall_time=0.0)
+                    objective_history=np.array([2.0, 1.0]), wall_time=0.0,
+                    stop_reason="tol")
 
 
 def test_single_user_matched_filter_optimal():
@@ -336,10 +337,24 @@ def test_custom_init_and_bad_shape():
 
 def test_run_fp_works_full_dimension():
     ch = generate_rayleigh(6, 2, seed=9)
-    T, history, iterations, wall = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
+    T, history, iterations, wall, stop_reason = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
     assert T.shape == (6, 2)
     assert np.all(np.diff(history) >= -1e-8)
     assert iterations >= 1 and wall >= 0.0
+    assert stop_reason == "tol"
+
+
+def test_stop_reason_tol_and_cap():
+    red = reduce_channel(generate_rayleigh(16, 4, seed=12))
+    converged = solve_psla(red, SolverConfig(Pt=100.0))
+    assert converged.stop_reason == "tol"
+    assert converged.iterations < SolverConfig().max_outer
+    capped = solve_psla(red, SolverConfig(Pt=100.0, max_outer=1))
+    first, second = capped.objective_history
+    # the one round still moved the rate by more than eps: not converged
+    assert abs(second - first) / max(1.0, first) >= SolverConfig().eps
+    assert capped.iterations == 1
+    assert capped.stop_reason == "cap"
 
 
 def test_solve_two_layer_equivalence():
@@ -372,6 +387,7 @@ def test_report_record_serializable():
     assert back["label"] == "reduced"
     assert back["config"]["Pt"] == 10.0
     assert back["iterations"] == rep.iterations
+    assert back["stop_reason"] == rep.stop_reason == "tol"
     assert back["sum_rate"] == pytest.approx(rep.sum_rate)
 
 
