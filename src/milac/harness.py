@@ -241,7 +241,10 @@ def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise DimensionError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if n < 1:
         raise DimensionError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
     return n
@@ -255,13 +258,14 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     solves.jsonl (one record per solver run), and for convergence mode
     iterations.csv with the per-iteration objective. Trials run in a
     process pool when the MILAC_WORKERS environment variable asks for more
-    than one worker; output order is independent of scheduling.
+    than one worker, with no more workers than tasks (a one-task sweep
+    runs serially); output order is independent of scheduling.
     """
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = [(L, snr) for L in spec.L_values for snr in spec.snr_db_values]
     tasks = [(L, snr, t) for (L, snr) in points for t in range(spec.trials)]
-    workers = worker_count()
+    workers = min(worker_count(), len(tasks))
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     with ExitStack() as stack:
         fres = stack.enter_context(open(out / "results.csv", "w"))

@@ -9,8 +9,9 @@ lower-right block is -U2 U2^T for an orthonormal complement U2 of U1,
 taken from the K Householder reflectors of U1 in compact-WY form
 (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989) and assembled
 without forming any L x L unitary, so the mapping costs O(L^2 K). The
-lossless-reciprocal checks on the (L+K)-port result stay dense and cost
-O((L+K)^3).
+lossless-reciprocal checks on the (L+K)-port result stay dense and still
+cost O((L+K)^3): one real syrk plus one real gemm, about 2(L+K)^3 real
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     complement gives an exact layer; this one is built from U1, not Pd, so
     it stays orthogonal to U1 when Pd is rank deficient. The construction
     costs O(L^2 K); the dense lossless-reciprocal checks of the resulting
-    TwoLayerSolution cost O((L+K)^3) and dominate at large L.
+    TwoLayerSolution still cost O((L+K)^3) and dominate at large L, now as
+    one real syrk plus one real gemm, about 2(L+K)^3 real multiply-adds.
 
     amp_budget bounds trace(P) of the amplifier power; it defaults to
     16 * Pt, the exact power the construction needs, so radiated power

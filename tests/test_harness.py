@@ -225,7 +225,7 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     assert a == b
 
 
-def test_worker_count_validation(monkeypatch):
+def test_worker_count_validation(tmp_path, monkeypatch):
     from milac.harness import worker_count
 
     monkeypatch.delenv("MILAC_WORKERS", raising=False)
@@ -235,6 +235,43 @@ def test_worker_count_validation(monkeypatch):
     monkeypatch.setenv("MILAC_WORKERS", "0")
     with pytest.raises(DimensionError):
         worker_count()
+    for raw in ("two", "1.5", "2x"):
+        monkeypatch.setenv("MILAC_WORKERS", raw)
+        with pytest.raises(DimensionError, match="MILAC_WORKERS must be an integer"):
+            worker_count()
+    with pytest.raises(DimensionError):
+        run_experiment(small_spec(tmp_path))
+    assert not (tmp_path / "out").exists()  # fails before writing anything
+
+
+def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
+    import milac.harness
+
+    pools = []
+
+    class FakePool:
+        # runs tasks in-process and records the requested pool size
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(milac.harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.delenv("MILAC_WORKERS", raising=False)
+    serial = run_experiment(small_spec(tmp_path / "serial", trials=3))
+    monkeypatch.setenv("MILAC_WORKERS", "8")
+    pooled = run_experiment(small_spec(tmp_path / "three", trials=3))
+    assert pools == [3]
+    assert pooled.rows == serial.rows
+    run_experiment(small_spec(tmp_path / "one", trials=1))
+    assert pools == [3]  # a one-task sweep takes the serial path
 
 
 def test_run_point_reuses_reduced_solution(tmp_path):

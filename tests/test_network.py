@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from milac import (
     AsymmetricComponentError,
+    DigitalBeamformer,
     DimensionError,
     NotRealizableError,
     ReferenceImpedance,
@@ -17,6 +18,7 @@ from milac import (
     admittance_from_components,
     beamformer_from_scattering,
     check_lossless_reciprocal,
+    map_digital_to_milac,
     scattering_from_susceptance,
     susceptance_from_scattering,
 )
@@ -158,6 +160,95 @@ def test_check_lossless_reciprocal_cases():
     assert not rep.passed
     assert rep.unitarity_residual == pytest.approx(3 * np.sqrt(2))
     assert rep.symmetry_residual == 0
+
+    nan = np.eye(3, dtype=complex)
+    nan[1, 2] = np.nan
+    inf = np.eye(3)
+    inf[0, 0] = np.inf
+    for raw, match in ((np.ones(3), "square"), (np.ones((3, 4)), "square"),
+                       (np.ones((2, 2, 2)), "square"), (nan, "non-finite"),
+                       (inf, "non-finite")):
+        with pytest.raises(DimensionError, match=match):
+            check_lossless_reciprocal(raw)
+
+
+def symmetric_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q @ Q.T
+
+
+def phi_520():
+    """The 520-port second layer of a seeded beamformer at (L, K) = (512, 8)."""
+    rng = np.random.default_rng(5)
+    Pd = rng.standard_normal((512, 8)) + 1j * rng.standard_normal((512, 8))
+    d = DigitalBeamformer(Pd=Pd, Pt=float(np.linalg.norm(Pd) ** 2))
+    return map_digital_to_milac(d).Phi.S
+
+
+def dense_residuals(S):
+    """The residuals written out as ||S^H S - I||_F and ||S - S^T||_F in
+    complex128 arithmetic."""
+    S = np.asarray(S, dtype=np.complex128)
+    return (np.linalg.norm(S.conj().T @ S - np.eye(S.shape[0])),
+            np.linalg.norm(S - S.T))
+
+
+def test_check_lossless_reciprocal_matches_dense_reference():
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)))
+    cases = [symmetric_unitary(n, seed=n) for n in (1, 2, 8, 36)]
+    cases += [
+        phi_520(),
+        Q,  # unitary, not symmetric
+        0.999 * symmetric_unitary(36, seed=3),
+        rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+        np.eye(5),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        # the Gram is evaluated in float64; the reference takes the same values
+        symmetric_unitary(8, seed=4).astype(np.complex64),
+    ]
+    for S in cases:
+        uni, sym = dense_residuals(S)
+        for arg in (S, ScatteringMatrix(S=S)):
+            rep = check_lossless_reciprocal(arg, tol=1e-10)
+            assert abs(rep.unitarity_residual - uni) <= 1e-12
+            assert abs(rep.symmetry_residual - sym) <= 1e-12
+            if arg is not S:  # complex128, as the reference
+                assert rep.symmetry_residual == sym
+            assert rep.passed == (uni <= 1e-10 and sym <= 1e-10)
+    assert [check_lossless_reciprocal(S).passed for S in cases] == [
+        True, True, True, True, True, False, False, False, True, True, False,
+    ]
+
+
+def test_check_lossless_reciprocal_sees_every_entry():
+    Phi = phi_520()
+    assert check_lossless_reciprocal(Phi, tol=1e-10).passed
+    n = Phi.shape[0]
+    # upper and lower triangle of every block, the diagonal, both corners
+    entries = [(0, 1), (1, 0), (2, 100), (100, 2), (300, 400), (400, 300),
+               (5, 5), (n - 1, n - 1), (0, n - 1), (n - 1, 0)]
+    for i, j in entries:
+        for delta in (1e-9, 1e-9j):
+            S = Phi.copy()
+            S[i, j] += delta
+            rep = check_lossless_reciprocal(S, tol=1e-10)
+            uni, _ = dense_residuals(S)
+            assert not rep.passed
+            assert rep.unitarity_residual > 1e-10
+            assert abs(rep.unitarity_residual - uni) <= 1e-12
+    # a symmetric imaginary perturbation of a real symmetric orthogonal
+    # matrix moves only the imaginary part of S^H S, to first order
+    v = np.random.default_rng(2).standard_normal(36)
+    H = np.eye(36) - 2 * np.outer(v, v) / (v @ v)
+    for i, j in ((3, 20), (20, 3), (7, 7)):
+        S = H.astype(complex)
+        S[i, j] += 1e-9j
+        S[j, i] = S[i, j]
+        rep = check_lossless_reciprocal(S, tol=1e-10)
+        assert rep.symmetry_residual == 0
+        assert not rep.passed and rep.unitarity_residual > 1e-10
 
 
 def test_singular_network_guard():
