@@ -53,6 +53,7 @@ from .mapping import (
 from .matio import load_matrix, save_matrix
 from .network import (
     AdmittanceMatrix,
+    FactoredScattering,
     LosslessReciprocalReport,
     ReferenceImpedance,
     ScatteringMatrix,

@@ -7,11 +7,11 @@ gains; the two half factors of the matched-port transfer blocks cancel the
 4, so the effective beamformer reproduces Pd exactly. The second network's
 lower-right block is -U2 U2^T for an orthonormal complement U2 of U1,
 taken from the K Householder reflectors of U1 in compact-WY form
-(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989) and assembled
-without forming any L x L unitary, so the mapping costs O(L^2 K). The
-lossless-reciprocal checks on the (L+K)-port result stay dense and still
-cost O((L+K)^3): one real syrk plus one real gemm, about 2(L+K)^3 real
-multiply-adds.
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989). The second
+network is kept as those factors (a FactoredScattering) and certified
+lossless reciprocal from them, so the mapping and its checks cost
+O(L K^2) and allocate no (L+K) x (L+K) array; the dense matrix is formed
+only when it is read or saved.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     InconsistentSolutionError,
     NegativeEntryError,
 )
-from .network import ScatteringMatrix, check_lossless_reciprocal
+from .network import FactoredScattering, ScatteringMatrix, check_lossless_reciprocal
 
 SCATTER_TOL = 1e-10
 
@@ -84,20 +84,25 @@ class TwoLayerSolution:
     """Scattering matrices, amplifier gains, and the beamformers they induce.
 
     Theta is the 2K-port first layer, Phi the (L+K)-port second layer,
-    Psqrt the K x K diagonal amplifier amplitude gains. Construction checks
-    that Theta and Phi are lossless reciprocal and Psqrt diagonal and
-    nonnegative, so deserialized solutions are validated. F and W, the
-    half-scaled transfer blocks, and the effective beamformer
-    G = W Psqrt F are derived from them on access.
+    Psqrt the K x K diagonal amplifier amplitude gains. Theta is a
+    ScatteringMatrix (a raw array is wrapped). Phi is either dense, as a
+    ScatteringMatrix or a raw array, or a FactoredScattering, as
+    map_digital_to_milac builds it: then Phi.S forms the dense matrix on
+    first read. Construction checks that Theta and Phi are lossless
+    reciprocal (Phi from its factors when it has them) and Psqrt diagonal,
+    finite and nonnegative, so deserialized solutions are validated. F and
+    W, the half-scaled transfer blocks, and the effective beamformer
+    G = W Psqrt F are derived from them on access; W reads U1 / 2 off a
+    factored Phi without forming it.
     """
 
     Theta: ScatteringMatrix
-    Phi: ScatteringMatrix
+    Phi: ScatteringMatrix | FactoredScattering
     Psqrt: np.ndarray
 
     def __post_init__(self):
         theta = self.Theta if isinstance(self.Theta, ScatteringMatrix) else ScatteringMatrix(S=self.Theta)
-        phi = self.Phi if isinstance(self.Phi, ScatteringMatrix) else ScatteringMatrix(S=self.Phi)
+        phi = self.Phi if isinstance(self.Phi, (ScatteringMatrix, FactoredScattering)) else ScatteringMatrix(S=self.Phi)
         if theta.n % 2 != 0:
             raise DimensionError(f"Theta must be 2K x 2K, got n={theta.n}")
         K = theta.n // 2
@@ -133,6 +138,8 @@ class TwoLayerSolution:
     @property
     def W(self) -> np.ndarray:
         """Output-layer transfer block Phi21 / 2 (L x K)."""
+        if isinstance(self.Phi, FactoredScattering):
+            return self.Phi.U1 / 2.0
         return self.Phi.S[self.K:, :self.K] / 2.0
 
     @property
@@ -147,15 +154,16 @@ def _check_diag_nonneg(S, K: int = None) -> np.ndarray:
         raise DimensionError(f"gain matrix must be square, got shape {S.shape}")
     if K is not None and S.shape[0] != K:
         raise DimensionError(f"gain matrix must be {K} x {K}, got {S.shape}")
+    if not np.isfinite(S).all():
+        raise DimensionError("gain matrix has non-finite entries")
     if np.iscomplexobj(S):
         if np.max(np.abs(S.imag)) > 1e-12:
             raise NegativeEntryError("gain matrix must be real")
         S = S.real
-    S = S.astype(float)
-    d = np.diag(S)
-    if np.any(S - np.diag(d)):
+    d = S.diagonal().astype(float)
+    if np.count_nonzero(S) != np.count_nonzero(d):
         raise DimensionError("gain matrix must be diagonal")
-    if np.any(d < 0):
+    if (d < 0).any():
         raise NegativeEntryError(f"negative amplifier gain: min {d.min():.6g}")
     return np.diag(d)
 
@@ -182,8 +190,8 @@ def _amplitudes(s: np.ndarray, p_amp: float) -> np.ndarray:
     return gain
 
 
-def _second_layer(U1: np.ndarray) -> np.ndarray:
-    """(L+K)-port scattering matrix [[0, U1^T], [U1, -U2 U2^T]].
+def _second_layer(U1: np.ndarray) -> FactoredScattering:
+    """(L+K)-port scattering matrix [[0, U1^T], [U1, -U2 U2^T]], factored.
 
     U2 is the orthonormal complement of U1 given by its K Householder
     reflectors: np.linalg.qr(U1, mode="raw") returns them as a unit
@@ -192,9 +200,9 @@ def _second_layer(U1: np.ndarray) -> np.ndarray:
     (Schreiber & Van Loan 1989), and U2 = Q[:, K:]. With
     E = diag(0_K, I_(L-K)), b = E conj(V) and C = V^H E conj(V),
     U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y C Y^T,
-    so -U2 U2^T = X + X^T - E for X = Y (b^T - C Y^T / 2): one L x K by
-    K x L product, and the sum is symmetric to the last bit. T comes from
-    the forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i],
+    so -U2 U2^T = X + X^T - E for X = Y Z, Z = b^T - C Y^T / 2, and the
+    layer is returned as its factors U1, Y and Z (O(LK) memory). T comes
+    from the forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i],
     which stays finite when LAPACK returns tau_i = 0 for a column that is
     already a unit vector.
     """
@@ -210,13 +218,7 @@ def _second_layer(U1: np.ndarray) -> np.ndarray:
     b = V[K:].conj()  # the nonzero rows of E conj(V)
     Z = (b.T @ b) @ Y.T * -0.5
     Z[:, K:] += b.T
-    X = Y @ Z
-    X.flat[K * (L + 1)::L + 1] -= 0.5  # X - E/2, so the sum below carries -E
-    Phi = np.zeros((L + K, L + K), dtype=np.complex128)
-    Phi[:K, K:] = U1.T
-    Phi[K:, :K] = U1
-    np.add(X, X.T, out=Phi[K:, K:])
-    return Phi
+    return FactoredScattering(U1=U1, Y=Y, Z=Z)
 
 
 def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoLayerSolution:
@@ -229,10 +231,11 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     up to rounding. U2 is the orthonormal complement of U1 given by the
     Householder QR factor of U1 (see _second_layer). Any orthonormal
     complement gives an exact layer; this one is built from U1, not Pd, so
-    it stays orthogonal to U1 when Pd is rank deficient. The construction
-    costs O(L^2 K); the dense lossless-reciprocal checks of the resulting
-    TwoLayerSolution still cost O((L+K)^3) and dominate at large L, now as
-    one real syrk plus one real gemm, about 2(L+K)^3 real multiply-adds.
+    it stays orthogonal to U1 when Pd is rank deficient. Phi is returned
+    in factored form and certified from its factors, so the construction
+    and the lossless-reciprocal checks of the resulting TwoLayerSolution
+    cost O(L K^2) with no (L+K) x (L+K) array; sol.Phi.S forms the dense
+    matrix on first read.
 
     amp_budget bounds trace(P) of the amplifier power; it defaults to
     16 * Pt, the exact power the construction needs, so radiated power
@@ -245,7 +248,7 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     Theta[K:, :K] = Vh
     budget = 16.0 * d.Pt if amp_budget is None else amp_budget
     return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
-                            Phi=ScatteringMatrix(S=_second_layer(U1)),
+                            Phi=_second_layer(U1),
                             Psqrt=np.diag(_amplitudes(s, budget)))
 
 
@@ -262,7 +265,7 @@ def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1
     (stated equivalently with conjugations swapped when Phi22 is
     symmetric), and the symmetry Phi22 - Phi22^T.
     """
-    S = Phi.S if isinstance(Phi, ScatteringMatrix) else np.asarray(Phi)
+    S = Phi.S if isinstance(Phi, (ScatteringMatrix, FactoredScattering)) else np.asarray(Phi)
     U1 = np.asarray(U1, dtype=np.complex128)
     L, K = U1.shape
     if S.shape != (L + K, L + K):

@@ -1,6 +1,7 @@
 """Digital-to-analog beamformer construction and its exactness."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from milac import (
     DigitalBeamformer,
     DimensionError,
+    FactoredScattering,
+    InconsistentSolutionError,
     NegativeEntryError,
+    ScatteringMatrix,
     TwoLayerSolution,
     check_lossless_reciprocal,
     effective_beamformer,
@@ -18,6 +22,7 @@ from milac import (
     load_solution,
     map_digital_to_milac,
     power_step,
+    save_matrix,
     save_solution,
     sum_rate,
     verify_phi_feasibility,
@@ -250,3 +255,129 @@ def test_exactness_property(shape, seed, Pt):
     assert np.linalg.norm(sol.G - d.Pd) <= 1e-9 * np.linalg.norm(d.Pd)
     assert check_lossless_reciprocal(sol.Theta, tol=1e-10).passed
     assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
+
+
+def _dense_second_layer(U1):
+    """The dense (L+K)-port second layer as the mapping built it before Phi
+    was kept factored, written out: its bits are what phi.txt holds."""
+    L, K = U1.shape
+    h, tau = np.linalg.qr(U1, mode="raw")
+    V = np.tril(h.T, -1)
+    np.fill_diagonal(V, 1.0)
+    VhV = V.conj().T @ V
+    T = np.diag(tau)
+    for i in range(1, K):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
+    Y = V @ T
+    b = V[K:].conj()
+    Z = (b.T @ b) @ Y.T * -0.5
+    Z[:, K:] += b.T
+    X = Y @ Z
+    X.flat[K * (L + 1)::L + 1] -= 0.5
+    Phi = np.zeros((L + K, L + K), dtype=np.complex128)
+    Phi[:K, K:] = U1.T
+    Phi[K:, :K] = U1
+    np.add(X, X.T, out=Phi[K:, K:])
+    return Phi
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
+def test_factored_phi_materializes_bit_identical(case, tmp_path):
+    d = COMPLEMENT_CASES[case]()
+    sol = map_digital_to_milac(d)
+    assert isinstance(sol.Phi, FactoredScattering)
+    U1 = np.linalg.svd(d.Pd, full_matrices=False)[0]
+    assert np.array_equal(sol.Phi.S, _dense_second_layer(U1))
+    assert np.array_equal(sol.W, sol.Phi.S[d.K:, :d.K] / 2)
+    save_solution(tmp_path, sol)
+    assert np.array_equal(load_solution(tmp_path).Phi.S, sol.Phi.S)
+
+
+def _criterion_1_beamformers():
+    grid = [(L, K) for L in (2, 4, 8, 32) for K in (1, 2, 4, 8) if K <= L]
+    cases = [(*grid[i % len(grid)], i) for i in range(1000)]
+    cases += [(L, K, 5000 + i) for L, K in ((512, 8), (64, 64)) for i in range(4)]
+    for L, K, i in cases:
+        yield random_beamformer(L, K, Pt=1.0 + (i % 7), seed=i)
+    for L, K in ((512, 8), (64, 64), (9, 8), (64, 1)):
+        yield random_beamformer(L, K, Pt=1.0, seed=L * K)
+
+
+def test_factored_check_never_looser_than_dense():
+    # rounding differs between the two paths; the factored residual may sit
+    # below the dense one of the formed matrix only by far less than
+    # SCATTER_TOL = 1e-10
+    for d in _criterion_1_beamformers():
+        Phi = map_digital_to_milac(d).Phi
+        rep = check_lossless_reciprocal(Phi, tol=1e-10)
+        dense = check_lossless_reciprocal(Phi.S, tol=1e-10)
+        assert rep.unitarity_residual >= dense.unitarity_residual - 1e-13, (d.L, d.K)
+        assert rep.symmetry_residual == dense.symmetry_residual == 0.0
+        assert rep.passed and dense.passed
+
+
+def test_mapping_allocates_no_dense_layer():
+    rng = np.random.default_rng(9)
+    Pd = rng.standard_normal((2048, 4)) + 1j * rng.standard_normal((2048, 4))
+    d = DigitalBeamformer(Pd=Pd, Pt=float(np.linalg.norm(Pd) ** 2))
+    tracemalloc.start()
+    try:
+        sol = map_digital_to_milac(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense 2052-port Phi alone is 2052^2 * 16 B = 67 MB
+    assert peak < 8e6
+    assert np.linalg.norm(sol.G - d.Pd) <= 1e-12 * np.linalg.norm(d.Pd)
+    S = sol.Phi.S
+    assert S.shape == (2052, 2052)
+    assert np.array_equal(S[4:, :4], sol.Phi.U1)
+    assert np.array_equal(S, S.T)
+
+
+def test_mapping_checks_each_layer_once(monkeypatch):
+    import milac.mapping
+    seen = []
+
+    def counted(S, tol):
+        seen.append(type(S).__name__)
+        return check_lossless_reciprocal(S, tol=tol)
+
+    monkeypatch.setattr(milac.mapping, "check_lossless_reciprocal", counted)
+    map_digital_to_milac(random_beamformer(12, 3, Pt=1.0, seed=4))
+    assert seen == ["ScatteringMatrix", "FactoredScattering"]
+
+
+def test_dense_phi_still_checked_densely(tmp_path):
+    # a solution handed a dense Phi, raw or wrapped or from files, is
+    # certified by the dense check, which sees any entry
+    sol = map_digital_to_milac(random_beamformer(10, 3, Pt=1.0, seed=6))
+    dense = np.array(sol.Phi.S)
+    for Phi in (dense, ScatteringMatrix(S=dense)):
+        out = TwoLayerSolution(Theta=sol.Theta, Phi=Phi, Psqrt=sol.Psqrt)
+        assert isinstance(out.Phi, ScatteringMatrix)
+        assert np.array_equal(out.G, sol.G)
+    bad = dense.copy()
+    bad[7, 9] += 1e-9j
+    for Phi in (bad, ScatteringMatrix(S=bad)):
+        with pytest.raises(InconsistentSolutionError, match="Phi"):
+            TwoLayerSolution(Theta=sol.Theta, Phi=Phi, Psqrt=sol.Psqrt)
+    save_solution(tmp_path, sol)
+    save_matrix(tmp_path / "phi.txt", bad)
+    with pytest.raises(InconsistentSolutionError, match="Phi"):
+        load_solution(tmp_path)
+
+
+def test_gains_must_be_finite():
+    sol = map_digital_to_milac(random_beamformer(5, 2, Pt=1.0, seed=7))
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        gains = np.array(sol.Psqrt, dtype=complex)
+        gains[1, 1] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=gains)
+        with pytest.raises(DimensionError, match="non-finite"):
+            power_step(gains, p_amp=1.0)
+    off = np.array(sol.Psqrt)
+    off[0, 1] = np.inf
+    with pytest.raises(DimensionError, match="non-finite"):
+        power_step(off, p_amp=1.0)

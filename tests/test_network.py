@@ -10,6 +10,7 @@ from milac import (
     AsymmetricComponentError,
     DigitalBeamformer,
     DimensionError,
+    FactoredScattering,
     NotRealizableError,
     ReferenceImpedance,
     ScatteringMatrix,
@@ -148,6 +149,37 @@ def test_beamformer_dimension_mismatch():
         beamformer_from_scattering(S, n_in=3, n_out=2)
 
 
+def test_beamformer_from_raw_arrays():
+    assert np.array_equal(beamformer_from_scattering(np.eye(4), 2, 2), np.zeros((2, 2)))
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert np.array_equal(beamformer_from_scattering(swap, 1, 1), [[0.5]])
+    # a factored second layer gives the same block as its dense form
+    d = DigitalBeamformer(Pd=np.eye(6, 2) * np.sqrt(0.5), Pt=1.0)
+    Phi = map_digital_to_milac(d).Phi
+    assert np.array_equal(beamformer_from_scattering(Phi, 2, 6),
+                          beamformer_from_scattering(Phi.S, 2, 6))
+    nan = np.eye(4, dtype=complex)
+    nan[0, 3] = np.nan
+    inf = np.eye(4)
+    inf[2, 2] = -np.inf
+    for raw, match in ((np.ones(4), "square"), (np.ones((4, 3)), "square"),
+                       (np.ones((2, 2, 2)), "square"), (nan, "non-finite"),
+                       (inf, "non-finite")):
+        with pytest.raises(DimensionError, match=match):
+            beamformer_from_scattering(raw, 2, 2)
+    with pytest.raises(DimensionError, match="port split"):
+        beamformer_from_scattering(np.eye(4), 3, 2)
+
+
+def test_check_lossless_reciprocal_rejects_bad_tol():
+    S = np.eye(2)
+    factored = map_digital_to_milac(DigitalBeamformer(Pd=np.eye(3, 1), Pt=1.0)).Phi
+    for tol in (-1.0, np.nan, 0.0, np.inf, -np.inf):
+        for arg in (S, ScatteringMatrix(S=S), factored):
+            with pytest.raises(DimensionError, match="tol"):
+                check_lossless_reciprocal(arg, tol=tol)
+
+
 def test_check_lossless_reciprocal_cases():
     rep = check_lossless_reciprocal(ScatteringMatrix(S=np.eye(2, dtype=complex)))
     assert rep.passed and rep.unitarity_residual == 0 and rep.symmetry_residual == 0
@@ -277,3 +309,65 @@ def test_cayley_properties(n, seed):
     if np.linalg.cond(np.eye(n) + S.S) < 1e6:
         B1 = susceptance_from_scattering(S)
         assert np.allclose(B1.B, B.B, atol=1e-8)
+
+
+def layer_factors(L, K, seed):
+    """U1, Y and Z of the second layer map_digital_to_milac builds for a
+    seeded L x K beamformer."""
+    rng = np.random.default_rng(seed)
+    Pd = rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))
+    Phi = map_digital_to_milac(DigitalBeamformer(Pd=Pd, Pt=float(np.linalg.norm(Pd) ** 2))).Phi
+    return Phi.U1, Phi.Y, Phi.Z
+
+
+def test_factored_scattering_validation():
+    U1, Y, Z = layer_factors(6, 2, seed=1)
+    Phi = FactoredScattering(U1=U1, Y=Y, Z=Z)
+    assert Phi.n == 8
+    assert Phi.S is Phi.S  # formed once
+    # identity comparison: no elementwise array comparison is attempted
+    assert Phi == Phi and Phi != FactoredScattering(U1=U1, Y=Y, Z=Z)
+    for M in (Phi.S, Phi.U1, Phi.Y, Phi.Z):
+        assert not M.flags.writeable
+    # the caller's arrays are not frozen
+    mine = U1.copy()
+    FactoredScattering(U1=mine, Y=Y, Z=Z)
+    mine[0, 0] = 0.0
+    bad_shapes = [(U1[:, 0], Y, Z), (U1.T, Y, Z), (U1, Y.T, Z), (U1, Y, Z.T),
+                  (U1[:1], Y[:1], Z[:, :1]), (U1[:, :0], Y[:, :0], Z[:0])]
+    for u, y, z in bad_shapes:
+        with pytest.raises(DimensionError, match="not U1"):
+            FactoredScattering(U1=u, Y=y, Z=z)
+    for name in ("U1", "Y", "Z"):
+        for bad in (np.nan, np.inf, 1j * np.inf):
+            args = dict(U1=U1.copy(), Y=Y.copy(), Z=Z.copy())
+            args[name][1, 1] = bad
+            with pytest.raises(DimensionError, match=f"{name} has non-finite"):
+                FactoredScattering(**args)
+
+
+@pytest.mark.parametrize("L,K", [(512, 8), (32, 4), (9, 8), (64, 1)])
+def test_factored_check_sees_perturbed_factors(L, K):
+    # a factored layer has no dense entries to perturb, so its factors are:
+    # the factored residual must fail where the dense check of the
+    # represented matrix fails, and read the same value
+    U1, Y, Z = layer_factors(L, K, seed=L + K)
+    base = check_lossless_reciprocal(FactoredScattering(U1=U1, Y=Y, Z=Z), tol=1e-10)
+    assert base.passed and base.symmetry_residual == 0.0
+    entries = {"U1": [(0, 0), (L - 1, K - 1), (L // 2, K // 2)],
+               "Y": [(0, 0), (K - 1, 0), (L - 1, K - 1), (L // 2, K // 2)],
+               "Z": [(0, 0), (K - 1, K - 1), (0, L - 1), (K // 2, L // 2)]}
+    for name, where in entries.items():
+        for (i, j) in where:
+            for delta in (1e-9, 1e-9j):
+                args = dict(U1=U1.copy(), Y=Y.copy(), Z=Z.copy())
+                args[name][i, j] += delta
+                layer = FactoredScattering(**args)
+                rep = check_lossless_reciprocal(layer, tol=1e-10)
+                dense = check_lossless_reciprocal(layer.S, tol=1e-10)
+                uni, sym = dense_residuals(layer.S)
+                assert not rep.passed and not dense.passed, (name, i, j, delta)
+                assert rep.unitarity_residual > 1e-10
+                assert rep.unitarity_residual == pytest.approx(uni, rel=1e-6)
+                assert rep.unitarity_residual == pytest.approx(dense.unitarity_residual, rel=1e-6)
+                assert rep.symmetry_residual == sym == 0.0
