@@ -19,7 +19,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """Downlink channels for one realization.
 
@@ -58,7 +58,7 @@ class ChannelSet:
         return self.H.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedChannel:
     """Economy SVD H = Q Sigma R^H plus the reduced channel Hbar = Q^H H.
 

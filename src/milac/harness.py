@@ -12,8 +12,9 @@ trial, so its wall time covers the mapping alone.
 from __future__ import annotations
 
 import json
+import logging
+import math
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -31,6 +32,7 @@ from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
 MODES = ("convergence", "snr_sweep", "antenna_sweep", "theorem_check")
 WORKERS_ENV = "MILAC_WORKERS"
+log = logging.getLogger(__name__)
 
 RESULT_COLUMNS = ("mode", "L", "K", "snr_db", "trial", "architecture",
                   "sum_rate", "iterations", "wall_time")
@@ -62,8 +64,10 @@ class ExperimentSpec:
     """One sweep: grid of antenna counts and SNR points times trials.
 
     The solver config acts as a template; its Pt is replaced per SNR
-    point. measure_time=False writes 0.0 wall times so repeated runs
-    produce byte-identical output files.
+    point, so every point must give a finite positive Pt; a bad one is
+    rejected here, before any output file exists. measure_time=False
+    writes 0.0 wall times so repeated runs produce byte-identical output
+    files.
     """
 
     mode: str
@@ -90,6 +94,15 @@ class ExperimentSpec:
         for L in L_values:
             if L < self.K:
                 raise DimensionError(f"L={L} is smaller than K={self.K}")
+        for snr in snr_values:
+            try:
+                Pt = snr_to_power(snr)
+            except OverflowError:
+                Pt = math.inf
+            if not (math.isfinite(Pt) and Pt > 0):
+                raise DimensionError(
+                    f"SNR {snr} dB gives transmit power {Pt}; it must be finite and positive"
+                )
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)
 
@@ -140,9 +153,7 @@ class SummaryRow:
 
 
 def _failed_row(spec, L, snr_db, trial, arch, elapsed, exc):
-    sys.stderr.write(
-        f"warning: {arch} failed at L={L} snr={snr_db} trial={trial}: {exc}\n"
-    )
+    log.warning("%s failed at L=%s snr=%s trial=%s: %s", arch, L, snr_db, trial, exc)
     return SweepRow(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial,
                     architecture=arch, sum_rate=float("nan"), iterations=-1,
                     wall_time=elapsed), {

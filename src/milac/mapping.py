@@ -32,7 +32,7 @@ from .network import FactoredScattering, ScatteringMatrix, check_lossless_recipr
 SCATTER_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitalBeamformer:
     """Fully digital precoding matrix Pd (L x K) with its power budget."""
 
@@ -79,7 +79,7 @@ class PhiFeasibilityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoLayerSolution:
     """Scattering matrices, amplifier gains, and the beamformers they induce.
 

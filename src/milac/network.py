@@ -49,7 +49,7 @@ def _square(M, name: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SusceptanceMatrix:
     """Real symmetric susceptance matrix B of a purely susceptive network.
 
@@ -78,7 +78,7 @@ class SusceptanceMatrix:
         return self.B.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
     """Admittance matrix of an N-port network (complex, siemens)."""
 
@@ -94,7 +94,7 @@ class AdmittanceMatrix:
         return self.Y.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
     """Scattering matrix of an N-port network at a common reference
     impedance. Not restricted to lossless or reciprocal networks; use

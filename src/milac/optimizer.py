@@ -15,6 +15,7 @@ and the precoder variable matches its shape.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ LN2 = float(np.log(2.0))
 # Newton steps of the power-multiplier root-find; it converges quadratically
 # from below, so the cap only guards against rounding stalls
 MAX_NEWTON = 60
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,20 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.Pt) and self.Pt > 0):
             raise DimensionError(f"Pt must be positive, got {self.Pt}")
-        if not (self.eps > 0):
-            raise DimensionError(f"eps must be positive, got {self.eps}")
-        if self.max_outer < 1:
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise DimensionError(f"eps must be positive and finite, got {self.eps}")
+        try:
+            max_outer = operator.index(self.max_outer)
+        except TypeError:
+            raise DimensionError(
+                f"max_outer must be an integer, got {self.max_outer!r}"
+            ) from None
+        if max_outer < 1:
             raise DimensionError("max_outer must be >= 1")
+        object.__setattr__(self, "max_outer", max_outer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one solve: final iterates, rates, and the objective path.
 
@@ -101,13 +110,24 @@ def _validate_link(H, Pmat, sigma):
     return H, Pmat, sigma
 
 
-def _link_powers(H, Pmat):
-    # C[k, i] = h_k^H p_i
-    C = H.conj().T @ Pmat
+def _sinr(C, noise):
+    """SINR of each user and its total received signal power, read off
+    C[k, i] = h_k^H p_i with per-user noise powers."""
     p = np.abs(C) ** 2
-    desired = np.diagonal(p).copy()
+    desired = p.diagonal()
     total = p.sum(axis=1)
-    return C, desired, total
+    return desired / (total - desired + noise), total
+
+
+def _auxiliaries(C, noise):
+    """SINRs alpha, sqrt(1 + alpha) and the optimal beta read off C."""
+    alpha, total = _sinr(C, noise)
+    root = np.sqrt(1.0 + alpha)
+    return alpha, root, root * C.diagonal() / (total + noise)
+
+
+def _rate(alpha) -> float:
+    return float((np.log1p(alpha) / LN2).sum())
 
 
 def sinr(H, Pmat, sigma, k: int) -> float:
@@ -116,21 +136,18 @@ def sinr(H, Pmat, sigma, k: int) -> float:
     K = H.shape[1]
     if not (0 <= k < K):
         raise IndexError(f"user index {k} out of range for K={K}")
-    _, desired, total = _link_powers(H, Pmat)
-    return float(desired[k] / (total[k] - desired[k] + sigma[k] ** 2))
+    return float(_sinr(H.conj().T @ Pmat, sigma**2)[0][k])
 
 
 def user_rates(H, Pmat, sigma) -> np.ndarray:
     """Per-user rates log2(1 + SINR_k) in bits."""
     H, Pmat, sigma = _validate_link(H, Pmat, sigma)
-    _, desired, total = _link_powers(H, Pmat)
-    gamma = desired / (total - desired + sigma**2)
-    return np.log1p(gamma) / LN2
+    return np.log1p(_sinr(H.conj().T @ Pmat, sigma**2)[0]) / LN2
 
 
 def sum_rate(H, Pmat, sigma) -> float:
     """Sum of the per-user rates, in bits."""
-    return float(np.sum(user_rates(H, Pmat, sigma)))
+    return float(user_rates(H, Pmat, sigma).sum())
 
 
 def update_alpha_beta(Hbar, T, sigma):
@@ -140,10 +157,7 @@ def update_alpha_beta(Hbar, T, sigma):
     the total received power plus noise.
     """
     Hbar, T, sigma = _validate_link(Hbar, T, sigma)
-    C, desired, total = _link_powers(Hbar, T)
-    noise = sigma**2
-    alpha = desired / (total - desired + noise)
-    beta = np.sqrt(1.0 + alpha) * np.diagonal(C) / (total + noise)
+    alpha, _, beta = _auxiliaries(Hbar.conj().T @ T, sigma**2)
     return alpha, beta
 
 
@@ -157,7 +171,8 @@ def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
     Hbar, T, sigma = _validate_link(Hbar, T, sigma)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=np.complex128)
-    C, _, total = _link_powers(Hbar, T)
+    C = Hbar.conj().T @ T
+    total = (np.abs(C) ** 2).sum(axis=1)
     noise = sigma**2
     dk = np.diagonal(C)
     root = np.sqrt(1.0 + alpha)
@@ -178,10 +193,10 @@ def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
 def project_power(X, Pt: float) -> np.ndarray:
     """Scale X onto the sphere trace(X X^H) = Pt."""
     X = np.asarray(X, dtype=np.complex128)
-    nrm2 = float(np.sum(np.abs(X) ** 2))
+    nrm2 = float((np.abs(X) ** 2).sum())
     if nrm2 == 0.0:
         raise DegenerateProjectionError("cannot project the zero matrix onto the power sphere")
-    return X * np.sqrt(Pt / nrm2)
+    return X * math.sqrt(Pt / nrm2)
 
 
 def _power_multiplier(e, w, Pt: float) -> float:
@@ -192,19 +207,41 @@ def _power_multiplier(e, w, Pt: float) -> float:
     (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983), so its iterates
     rise monotonically from lam = 0 to the root, and a first step below 0
     means T(0) already fits. sqrt(sum(w) / Pt), where the sum is at most
-    Pt, caps the iterates against rounding.
+    Pt, caps the iterates against rounding. The K terms are summed on
+    Python floats: at the sizes the solver sees, numpy's per-call cost
+    would dominate the arithmetic.
     """
-    hi = math.sqrt(w.sum() / Pt)
+    e, w = e.tolist(), w.tolist()
+    hi = math.sqrt(sum(w) / Pt)
     lam = 0.0
     for _ in range(MAX_NEWTON):
-        r = 1.0 / (e + lam)
-        wr2 = w * r * r
-        f = wr2.sum()
-        new = min(lam + f * (math.sqrt(f / Pt) - 1.0) / (wr2 @ r), hi)
+        f = g = 0.0
+        for ei, wi in zip(e, w):
+            r = 1.0 / (ei + lam)
+            wr2 = wi * r * r
+            f += wr2
+            g += wr2 * r
+        new = min(lam + f * (math.sqrt(f / Pt) - 1.0) / g, hi)
         if new - lam <= 1e-13 * new:
             return max(new, lam)
         lam = new
     return lam
+
+
+def _exact_step(H, T, root, beta, Pt: float) -> np.ndarray:
+    # update_T on validated complex arrays, root = sqrt(1 + alpha)
+    if not beta.any():
+        return T
+    M = H * beta
+    e, V = np.linalg.eigh(M.conj().T @ M)
+    tol = len(e) * EPS * e[-1]
+    if e[0] <= tol:
+        # eigh sorts e ascending, so the null directions lead
+        n = int(np.count_nonzero(e <= tol))
+        e, V = e[n:], V[:, n:]
+    Z = V.conj().T * root
+    lam = _power_multiplier(e, e * (np.abs(Z) ** 2).sum(axis=1), Pt)
+    return project_power(M @ (V @ (Z / (e + lam)[:, None])), Pt)
 
 
 def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
@@ -227,20 +264,15 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
     Hbar = np.asarray(Hbar, dtype=np.complex128)
     T = np.asarray(T, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
-    if not beta.any():
-        return T
-    M = Hbar * beta
-    e, V = np.linalg.eigh(M.conj().T @ M)
-    keep = e > len(e) * np.finfo(float).eps * e[-1]
-    e, V = e[keep], V[:, keep]
-    Z = V.conj().T * np.sqrt(1.0 + np.asarray(alpha, dtype=float))
-    lam = _power_multiplier(e, e * (np.abs(Z) ** 2).sum(axis=1), Pt)
-    return project_power(M @ (V @ (Z / (e + lam)[:, None])), Pt)
+    root = np.sqrt(1.0 + np.asarray(alpha, dtype=float))
+    return _exact_step(Hbar, T, root, beta, Pt)
 
 
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     """Columns proportional to the per-user channels, equal power split."""
     Heff = np.asarray(Heff, dtype=np.complex128)
+    if Heff.ndim != 2:
+        raise DimensionError(f"Heff must be 2-D, got shape {Heff.shape}")
     norms = np.linalg.norm(Heff, axis=0)
     if np.any(norms == 0):
         raise DegenerateProjectionError("matched-filter init undefined for a zero channel column")
@@ -261,6 +293,10 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     Returns (T, history, iterations, wall_time, stop_reason), T being the
     final precoder and stop_reason "tol" or "cap" (see SolveReport). T's
     shape matches Heff; init is projected onto the power sphere if given.
+    Inputs are validated once on entry. Each round then forms one product
+    C = Heff^H T and reads off it the rate of T and the auxiliaries of the
+    next exact step, so it matches update_alpha_beta, update_T and
+    sum_rate called in turn.
     """
     Heff = np.asarray(Heff, dtype=np.complex128)
     t0 = time.perf_counter()
@@ -273,19 +309,22 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
                 f"init shape {init.shape} does not match precoder shape {Heff.shape}"
             )
         T = project_power(init, cfg.Pt)
-    history = [sum_rate(Heff, T, sigma)]
+    Heff, T, sigma = _validate_link(Heff, T, sigma)
+    Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
+    alpha, root, beta = _auxiliaries(Hh @ T, noise)
+    history = [_rate(alpha)]
     iterations = 0
     stop_reason = "cap"
     for it in range(1, cfg.max_outer + 1):
-        alpha, beta = update_alpha_beta(Heff, T, sigma)
-        T = update_T(Heff, T, alpha, beta, cfg.Pt)
-        rate = sum_rate(Heff, T, sigma)
-        if not np.isfinite(rate):
+        T = _exact_step(Heff, T, root, beta, Pt)
+        alpha, root, beta = _auxiliaries(Hh @ T, noise)
+        rate = _rate(alpha)
+        if not math.isfinite(rate):
             raise NonFiniteObjectiveError(f"objective became {rate} at iteration {it}")
         prev = history[-1]
         history.append(rate)
         iterations = it
-        if abs(rate - prev) / max(1.0, prev) < cfg.eps:
+        if abs(rate - prev) / max(1.0, prev) < eps:
             stop_reason = "tol"
             break
     return T, np.asarray(history), iterations, time.perf_counter() - t0, stop_reason

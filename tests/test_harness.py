@@ -1,6 +1,7 @@
 """Monte-Carlo sweep harness and its CLI front end."""
 
 import json
+import logging
 import time
 
 import numpy as np
@@ -62,6 +63,11 @@ def test_spec_validation():
         ExperimentSpec(mode="snr_sweep", trials=0)
     with pytest.raises(DimensionError):
         ExperimentSpec(mode="snr_sweep", L_values=(2,), K=4)
+    # each SNR point must give a finite positive Pt = 10^(snr/10)
+    for snr in (np.nan, np.inf, -np.inf, 4000.0, -4000.0):
+        with pytest.raises(DimensionError):
+            ExperimentSpec(mode="snr_sweep", snr_db_values=(0.0, snr))
+    ExperimentSpec(mode="snr_sweep", snr_db_values=(-300.0, 300.0))
 
 
 def test_row_count_and_schema(tmp_path):
@@ -141,7 +147,7 @@ def test_paired_seeding_across_sweep_points(tmp_path):
         assert high[t] > low[t]
 
 
-def test_failure_isolation(tmp_path, monkeypatch, capsys):
+def test_failure_isolation(tmp_path, monkeypatch, capsys, caplog):
     import milac.harness as harness
 
     def boom(ch, Pt):
@@ -149,7 +155,14 @@ def test_failure_isolation(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "zero_forcing", boom)
     spec = small_spec(tmp_path, trials=2)
-    result = run_experiment(spec)
+    with caplog.at_level(logging.WARNING, logger="milac.harness"):
+        result = run_experiment(spec)
+    # one warning per failed run, naming its architecture and cell
+    logged = [rec.getMessage() for rec in caplog.records if rec.name == "milac.harness"]
+    assert logged == [f"zero_forcing failed at L=8 snr=10.0 trial={t}: synthetic failure"
+                      for t in range(2)]
+    assert all(rec.levelno == logging.WARNING for rec in caplog.records)
+    assert capsys.readouterr().err == ""
     zf = rows_by_arch(result, "zero_forcing")
     assert len(zf) == 2
     for r in zf:
@@ -339,6 +352,18 @@ def test_cli_rejects_bad_dimensions(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "-4000"])
+def test_cli_rejects_bad_snr_before_writing(tmp_path, capsys, snr):
+    # Pt = 10^(snr/10) must be finite and positive; the sweep is refused
+    # before its output directory exists
+    out = tmp_path / "bad"
+    code = main(["snr-sweep", "--L", "8", "--K", "2", "--trials", "1",
+                 f"--snr-db=0,{snr}", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_and_flag_override(tmp_path, capsys):

@@ -27,7 +27,7 @@ from milac import (
     update_alpha_beta,
     user_rates,
 )
-from milac.optimizer import project_power, report_record, run_fp
+from milac.optimizer import _power_multiplier, project_power, report_record, run_fp
 
 
 def random_point(Hbar, sigma, Pt, seed):
@@ -268,6 +268,14 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(DimensionError):
         SolverConfig(max_outer=0)
+    for eps in (np.inf, -np.inf, np.nan, -1e-4):
+        with pytest.raises(DimensionError):
+            SolverConfig(eps=eps)
+    for max_outer in (2.5, 2.0, np.nan, np.inf, "3"):
+        with pytest.raises(DimensionError):
+            SolverConfig(max_outer=max_outer)
+    cfg = SolverConfig(max_outer=np.int64(3))
+    assert cfg.max_outer == 3 and type(cfg.max_outer) is int
 
 
 def test_report_rejects_decreasing_history():
@@ -405,3 +413,115 @@ def test_solver_invariants_property(shape, seed, Pt):
     alpha, beta = update_alpha_beta(red.Hbar, rep.T_final, red.sigma)
     assert surrogate_value(red.Hbar, rep.T_final, red.sigma, alpha, beta) == pytest.approx(
         rep.sum_rate, abs=1e-9)
+
+
+# ------------------------------------------------------- fused round
+
+def reference_fp(Heff, sigma, cfg, init=None):
+    """The solver loop written out from the public functions."""
+    T = matched_filter_init(Heff, cfg.Pt) if init is None else project_power(init, cfg.Pt)
+    history = [sum_rate(Heff, T, sigma)]
+    iterations, stop_reason = 0, "cap"
+    for it in range(1, cfg.max_outer + 1):
+        alpha, beta = update_alpha_beta(Heff, T, sigma)
+        T = update_T(Heff, T, alpha, beta, cfg.Pt)
+        rate = sum_rate(Heff, T, sigma)
+        prev = history[-1]
+        history.append(rate)
+        iterations = it
+        if abs(rate - prev) / max(1.0, prev) < cfg.eps:
+            stop_reason = "tol"
+            break
+    return T, np.asarray(history), iterations, stop_reason
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 1), (32, 4), (16, 16), (64, 8)])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_fused_loop_matches_public_round(shape, snr_db):
+    # one C = Heff^H T per round must reproduce update_alpha_beta, update_T
+    # and sum_rate called in turn, on the reduced and the full channel
+    L, K = shape
+    Pt = 10.0 ** (snr_db / 10.0)
+    for seed in range(5):
+        ch = generate_rayleigh(L, K, seed=seed)
+        red = reduce_channel(ch)
+        for Heff, sigma in ((red.Hbar, red.sigma), (ch.H, ch.sigma)):
+            starts = [(None, SolverConfig(Pt=Pt)),
+                      (random_init(Heff.shape, Pt, seed=100 + seed), SolverConfig(Pt=Pt)),
+                      (None, SolverConfig(Pt=Pt, max_outer=1))]
+            for init, cfg in starts:
+                T, history, iterations, _, stop_reason = run_fp(Heff, sigma, cfg, init=init)
+                T_ref, h_ref, it_ref, stop_ref = reference_fp(Heff, sigma, cfg, init=init)
+                assert (iterations, stop_reason) == (it_ref, stop_ref)
+                assert history.shape == h_ref.shape
+                assert np.max(np.abs(history - h_ref)) <= 1e-12 * max(1.0, h_ref[-1])
+                assert np.max(np.abs(T - T_ref)) <= 1e-12 * np.sqrt(Pt)
+
+
+def test_run_fp_validates_on_entry():
+    ch = generate_rayleigh(6, 2, seed=9)
+    cfg = SolverConfig(Pt=10.0)
+    with pytest.raises(DimensionError):
+        run_fp(ch.H, np.ones(3), cfg)
+    with pytest.raises(DimensionError):
+        run_fp(ch.H[:, 0], ch.sigma, cfg)
+
+
+def bisect_multiplier(e, w, Pt):
+    """Root of sum w / (e + lam)^2 = Pt by bisection, 0 if lam = 0 fits."""
+    def power(lam):
+        return float(np.sum(w / (e + lam) ** 2))
+
+    if power(0.0) <= Pt:
+        return 0.0
+    lo, hi = 0.0, float(np.sqrt(np.sum(w) / Pt))
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if power(mid) > Pt else (lo, mid)
+    return hi
+
+
+def numpy_multiplier(e, w, Pt):
+    """The same safeguarded Newton with its sums taken by numpy."""
+    hi = np.sqrt(w.sum() / Pt)
+    lam = 0.0
+    for _ in range(60):
+        r = 1.0 / (e + lam)
+        wr2 = w * r * r
+        f = wr2.sum()
+        new = min(lam + f * (np.sqrt(f / Pt) - 1.0) / (wr2 @ r), hi)
+        if new - lam <= 1e-13 * new:
+            return max(new, lam)
+        lam = new
+    return lam
+
+
+MULTIPLIER_CASES = {
+    "K1": (np.array([2.0]), np.array([50.0]), 1.0),
+    "K1-fits": (np.array([2.0]), np.array([3.0]), 1.0),
+    "K4-fits": (np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.1]), 10.0),
+    "K64": (np.sort(np.random.default_rng(1).exponential(size=64)),
+            np.random.default_rng(2).exponential(size=64), 0.5),
+    "K64-spread": (np.logspace(-12, 6, 64), np.logspace(-12, 6, 64)[::-1] * 1e-3, 3.0),
+    "spread-small-Pt": (np.logspace(-12, 6, 19), np.ones(19), 1e-4),
+    "spread-large-Pt": (np.logspace(-12, 6, 19), np.logspace(-12, 6, 19) ** 2, 1e3),
+    "spread-tiny-lam": (np.logspace(-12, 6, 19), np.logspace(-12, 6, 19) ** 2, 18.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLIER_CASES))
+def test_power_multiplier_matches_bisection(case):
+    e, w, Pt = MULTIPLIER_CASES[case]
+    lam = _power_multiplier(e, w, Pt)
+    ref = bisect_multiplier(e, w, Pt)
+    assert isinstance(lam, float) and lam >= 0.0
+    # float sums only reorder the arithmetic of the numpy iteration
+    assert abs(lam - numpy_multiplier(e, w, Pt)) <= 1e-12 * lam
+    if ref == 0.0:
+        assert lam == 0.0
+    else:
+        assert lam > 0.0
+        assert abs(np.sum(w / (e + lam) ** 2) - Pt) <= 1e-10 * Pt
+        assert abs(lam - ref) <= 1e-9 * ref
