@@ -115,18 +115,15 @@ def reduce_channel(ch: ChannelSet) -> ReducedChannel:
         raise RankDeficientError(
             f"channel rank deficient: singular values {s[0]:.3e} .. {s[-1]:.3e}"
         )
-    Q = Q.copy()
-    Rh = Rh.copy()
     # unique representative: rotate each column so its first nonzero entry
     # is real nonnegative, absorbing the phase into the matching row of R^H
-    for j in range(Q.shape[1]):
-        idx = np.flatnonzero(Q[:, j] != 0)
-        i0 = idx[0]
-        z = Q[i0, j]
-        phase = z / abs(z)
-        Q[:, j] *= phase.conjugate()
-        Q[i0, j] = abs(z)
-        Rh[j, :] *= phase
+    cols = np.arange(Q.shape[1])
+    first = np.argmax(Q != 0, axis=0)
+    z = Q[first, cols]
+    phase = z / np.abs(z)
+    Q *= phase.conj()
+    Q[first, cols] = np.abs(z)
+    Rh *= phase[:, None]
     Hbar = Q.conj().T @ ch.H
     return ReducedChannel(Q=Q, Sigma=np.diag(s), R=Rh.conj().T, Hbar=Hbar, sigma=ch.sigma)
 

@@ -55,8 +55,20 @@ def mode_architectures(mode: str):
 
 
 def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
-    """Transmit power for a given transmit SNR, Pt = sigma^2 10^(SNR/10)."""
-    return sigma**2 * 10.0 ** (snr_db / 10.0)
+    """Transmit power for a given transmit SNR, Pt = sigma^2 10^(SNR/10).
+
+    Raises DimensionError unless Pt is finite and positive (a NaN SNR, or
+    one beyond about +-3000 dB, where 10^(SNR/10) overflows or underflows).
+    """
+    try:
+        Pt = float(sigma) ** 2 * 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        Pt = math.inf
+    if not (math.isfinite(Pt) and Pt > 0):
+        raise DimensionError(
+            f"SNR {snr_db} dB gives transmit power {Pt}; it must be finite and positive"
+        )
+    return Pt
 
 
 @dataclass(frozen=True)
@@ -95,14 +107,7 @@ class ExperimentSpec:
             if L < self.K:
                 raise DimensionError(f"L={L} is smaller than K={self.K}")
         for snr in snr_values:
-            try:
-                Pt = snr_to_power(snr)
-            except OverflowError:
-                Pt = math.inf
-            if not (math.isfinite(Pt) and Pt > 0):
-                raise DimensionError(
-                    f"SNR {snr} dB gives transmit power {Pt}; it must be finite and positive"
-                )
+            snr_to_power(snr)
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)
 

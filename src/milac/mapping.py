@@ -1,17 +1,19 @@
 """Closed-form realization of an arbitrary digital beamformer on two
 cascaded lossless reciprocal multiports with per-stream amplifiers.
 
-The construction takes the thin SVD Pd = U1 S V^H and places V^H blocks
-in the first network, U1 blocks in the second, and 4S in the amplifier
-gains; the two half factors of the matched-port transfer blocks cancel the
-4, so the effective beamformer reproduces Pd exactly. The second network's
-lower-right block is -U2 U2^T for an orthonormal complement U2 of U1,
-taken from the K Householder reflectors of U1 in compact-WY form
-(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989). The second
-network is kept as those factors (a FactoredScattering) and certified
-lossless reciprocal from them, so the mapping and its checks cost
-O(L K^2) and allocate no (L+K) x (L+K) array; the dense matrix is formed
-only when it is read or saved.
+One Householder QR factors Pd = Q [R; 0], with Q kept in compact-WY
+form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 1989), and the
+K x K SVD R = Ur S V^H completes the thin SVD Pd = U1 S V^H with
+U1 = Q [Ur; 0]. The construction places V^H blocks in the first network,
+U1 blocks in the second, and 4S in the amplifier gains; the two half
+factors of the matched-port transfer blocks cancel the 4, so the
+effective beamformer reproduces Pd exactly. The second network's
+lower-right block is -U2 U2^T for the orthonormal complement U2 = Q[:, K:]
+of U1, taken from the same reflectors. The second network is kept as
+those factors (a FactoredScattering) and certified lossless reciprocal
+from them, so the mapping and its checks cost O(L K^2) and allocate no
+(L+K) x (L+K) array; the dense matrix is formed only when it is read or
+saved.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class TwoLayerSolution:
     @property
     def G(self) -> np.ndarray:
         """Effective beamformer W Psqrt F (L x K)."""
-        return self.W @ self.Psqrt @ self.F
+        return self.W @ (self.Psqrt @ self.F)
 
 
 def _check_diag_nonneg(S, K: int = None) -> np.ndarray:
@@ -190,31 +192,31 @@ def _amplitudes(s: np.ndarray, p_amp: float) -> np.ndarray:
     return gain
 
 
-def _second_layer(U1: np.ndarray) -> FactoredScattering:
+def _second_layer(V: np.ndarray, tau: np.ndarray, Ur: np.ndarray) -> FactoredScattering:
     """(L+K)-port scattering matrix [[0, U1^T], [U1, -U2 U2^T]], factored.
 
-    U2 is the orthonormal complement of U1 given by its K Householder
-    reflectors: np.linalg.qr(U1, mode="raw") returns them as a unit
-    lower-trapezoidal V and scalars tau, and in compact-WY form their
-    product is Q = I - Y V^H with Y = V T, T upper triangular
-    (Schreiber & Van Loan 1989), and U2 = Q[:, K:]. With
-    E = diag(0_K, I_(L-K)), b = E conj(V) and C = V^H E conj(V),
-    U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y C Y^T,
+    V (unit lower trapezoidal, L x K) and tau hold the K Householder
+    reflectors of np.linalg.qr(Pd, mode="raw") for an L x K Pd. In
+    compact-WY form their product is Q = I - Y V^H with Y = V T, T upper
+    triangular (Schreiber & Van Loan 1989). Ur is the unitary left factor
+    of the K x K triangle R, so U1 = Q [Ur; 0] = [Ur; 0] - Y (V[:K]^H Ur)
+    and U2 = Q[:, K:] is an orthonormal complement of U1, even when Pd is
+    rank deficient. With E = diag(0_K, I_(L-K)), b = E conj(V) and
+    C = V^H E conj(V), U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y C Y^T,
     so -U2 U2^T = X + X^T - E for X = Y Z, Z = b^T - C Y^T / 2, and the
     layer is returned as its factors U1, Y and Z (O(LK) memory). T comes
     from the forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i],
     which stays finite when LAPACK returns tau_i = 0 for a column that is
     already a unit vector.
     """
-    L, K = U1.shape
-    h, tau = np.linalg.qr(U1, mode="raw")
-    V = np.tril(h.T, -1)
-    np.fill_diagonal(V, 1.0)
+    K = Ur.shape[0]
     VhV = V.conj().T @ V
     T = np.diag(tau)
     for i in range(1, K):
         T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
     Y = V @ T
+    U1 = -(Y @ (V[:K].conj().T @ Ur))
+    U1[:K] += Ur
     b = V[K:].conj()  # the nonzero rows of E conj(V)
     Z = (b.T @ b) @ Y.T * -0.5
     Z[:, K:] += b.T
@@ -224,14 +226,14 @@ def _second_layer(U1: np.ndarray) -> FactoredScattering:
 def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoLayerSolution:
     """Realize a digital beamformer on the two-layer analog architecture.
 
-    Takes the thin SVD Pd = U1 S V^H and builds the first-layer
-    scattering matrix from V, the second-layer one from U1 with
-    Phi22 = -U2 U2^T completing the lossless reciprocal structure, and
-    amplifier gains 4S. The effective beamformer G then equals Pd exactly
-    up to rounding. U2 is the orthonormal complement of U1 given by the
-    Householder QR factor of U1 (see _second_layer). Any orthonormal
-    complement gives an exact layer; this one is built from U1, not Pd, so
-    it stays orthogonal to U1 when Pd is rank deficient. Phi is returned
+    Takes the thin SVD Pd = U1 S V^H, as one Householder QR Pd = Q [R; 0]
+    and the K x K SVD R = Ur S V^H with U1 = Q [Ur; 0], and builds the
+    first-layer scattering matrix from V, the second-layer one from U1
+    with Phi22 = -U2 U2^T completing the lossless reciprocal structure,
+    and amplifier gains 4S. The effective beamformer G then equals Pd
+    exactly up to rounding. U2 = Q[:, K:] comes from the same reflectors
+    (see _second_layer). Any orthonormal complement gives an exact layer;
+    this one is orthogonal to U1 whatever the rank of Pd. Phi is returned
     in factored form and certified from its factors, so the construction
     and the lossless-reciprocal checks of the resulting TwoLayerSolution
     cost O(L K^2) with no (L+K) x (L+K) array; sol.Phi.S forms the dense
@@ -242,13 +244,18 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     equals trace(Pd Pd^H). A smaller budget uniformly shrinks G.
     """
     K = d.K
-    U1, s, Vh = np.linalg.svd(d.Pd, full_matrices=False)
+    h, tau = np.linalg.qr(d.Pd, mode="raw")
+    V = np.tril(h.T, -1)
+    # R is the upper triangle of h.T[:K]; subtracting the strict lower
+    # part leaves exact zeros below the diagonal
+    Ur, s, Vh = np.linalg.svd(h.T[:K] - V[:K])
+    np.fill_diagonal(V, 1.0)
     Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
     Theta[:K, K:] = Vh.T
     Theta[K:, :K] = Vh
     budget = 16.0 * d.Pt if amp_budget is None else amp_budget
     return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
-                            Phi=_second_layer(U1),
+                            Phi=_second_layer(V, tau, Ur),
                             Psqrt=np.diag(_amplitudes(s, budget)))
 
 

@@ -329,54 +329,53 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
 
 
 def _factored_unitarity(U1: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
-    """||Phi^H Phi - I||_F of Phi = [[0, U1^T], [U1, P]], P = A B - E,
-    with A = [Y, Z^T] (L x 2K) and B = [Z; Y^T] (2K x L).
+    """||Phi^H Phi - I||_F of Phi = [[0, U1^T], [U1, P]], P = A Pi A^T - E,
+    with A = [Y, Z^T] (L x 2K), Pi the swap of A's two column blocks and
+    E = diag(0_K, I_(L-K)).
 
-    P is symmetric, so P^H = conj(P) and Phi^H Phi - I has the blocks
-    U1^H U1 - I (K x K), U1^H P (K x L, and its adjoint) and
-    D = conj(U1) U1^T + conj(P) P - I (L x L). Expanding conj(P) P and
-    writing I - E = J J^T with J = [I_K; 0],
-    D = -J J^T + Cl Cr, Cl = [-E A, conj(U1), conj(A)] (L x 5K),
-    Cr = [B; U1^T; conj(B) P] (5K x L),
-    where conj(B) P = (conj(B) A) B - conj(B) E needs no L x L product.
-    The first K rows of D are formed directly. E A is zero there, so the
-    other L - K rows are (Cl Cr)[K:], and their norm is ||R Cr||_F for the
-    triangular factor R of Cl[K:] = Q R, since Q has orthonormal columns.
-    The residual is never squared before the cancellation, as in the Gram
-    form trace(Cl^H Cl Cr Cr^H): there terms of size 1 would have to
-    cancel to a squared residual near 1e-28, far below their rounding.
+    With W = [[I_K, 0], [0, [U1, A]]] ((L+K) x 4K),
+    M = [[0, I, 0], [I, 0, 0], [0, 0, Pi]] and Ehat = diag(0_K, E),
+    Phi = W M W^T - Ehat. Phi is symmetric, so Phi^H = conj(Phi), and with
+    I - Ehat = J J^T (J the first 2K columns of I_(L+K)) and Gw = W^H W,
+    Phi^H Phi - I = F Gw F^H - F (Ehat W)^H - (Ehat W) F^H - J J^T
+                  = F H^H + H F^H - J J^T,
+    F = conj(W) M, H = F Gw / 2 - Ehat W.
+    Below row 2K every column of W and Ehat W lies in the span of the real
+    and imaginary parts of [U1, A][K:], an (L-K) x 6K real matrix. Its one
+    real QR gives an orthonormal real basis Q and, in the columns of R, the
+    coefficients of those parts. Q is real, so conj(W) has the conjugate
+    coefficients, and every term above is B (.) B^T for B = diag(I_2K, Q):
+    the residual is the Frobenius norm of an n x n matrix,
+    n = 2K + min(L-K, 6K), built from products with at most 4K inner
+    terms. The residual is never squared before the cancellation, unlike
+    in a trace form of ||Phi^H Phi - I||_F^2, where terms of size 1 would
+    have to cancel to a squared residual near 1e-28, far below their
+    rounding.
     Every identity holds for any U1, Y and Z, so the result is the
     residual of the represented matrix up to rounding.
     """
     L, K = U1.shape
-    # rows 0:5K hold Cr; rows 5K:6K receive U1^H P
-    buf = np.empty((6 * K, L), dtype=np.complex128)
-    buf[:K] = Z
-    buf[K:2 * K] = Y.T
-    buf[2 * K:3 * K] = U1.T
-    C = np.conjugate(buf[:3 * K])  # [conj(B); U1^H]
-    Cl = np.zeros((L, 5 * K), dtype=np.complex128)
-    np.negative(Y[K:], out=Cl[K:, :K])
-    np.negative(Z.T[K:], out=Cl[K:, K:2 * K])
-    Cl[:, 2 * K:3 * K] = C[2 * K:].T
-    Cl[:, 3 * K:4 * K] = C[K:2 * K].T
-    Cl[:, 4 * K:] = C[:K].T
-    # [conj(B); U1^H] [U1, A] = [[conj(B) U1, conj(B) A], [U1^H U1, U1^H A]]
-    N = C @ np.conjugate(Cl[:, 2 * K:])
-    # [conj(B) A B; U1^H A B], then minus [conj(B) E; U1^H E]
-    np.matmul(N[:, K:], buf[:2 * K], out=buf[3 * K:])
-    buf[3 * K:, K:] -= C[:, K:]
-    gram = N[2 * K:, :K]
-    gram.flat[::K + 1] -= 1.0  # U1^H U1 - I
-    Cr, off = buf[:5 * K], buf[5 * K:]
-    top = Cl[:K] @ Cr
-    top.flat[:K * (L + 1):L + 1] -= 1.0  # -J^T
-    # R from the raw factorization, skipping np.triu's per-call mask
-    h = np.linalg.qr(Cl[K:], mode="raw")[0].T
+    C = np.concatenate((U1.T, Y.T, Z))  # [U1, A]^T
+    # the real QR's input, built so that its transpose is in Fortran order
+    h = np.linalg.qr(np.concatenate((C.real[:, K:], C.imag[:, K:])).T, mode="raw")[0]
     m = min(h.shape)
-    low = (h[:m] * _upper_triangle(m, 5 * K)) @ Cr
-    return float(np.sqrt(np.vdot(gram, gram).real + 2.0 * np.vdot(off, off).real
-                         + np.vdot(top, top).real + np.vdot(low, low).real))
+    n = 2 * K + m
+    # W in the basis B; R from the raw factorization, masked, is the
+    # coefficients: real parts in its first 3K columns, imaginary in the rest
+    W = np.zeros((n, 4 * K), dtype=np.complex128)
+    W.flat[:K * (4 * K + 1):4 * K + 1] = 1.0
+    W[K:2 * K, K:] = C[:, :K].T
+    mask = _upper_triangle(m, 6 * K)
+    np.multiply(h[:3 * K, :m].T, mask[:, :3 * K], out=W.real[2 * K:, K:])
+    np.multiply(h[3 * K:, :m].T, mask[:, 3 * K:], out=W.imag[2 * K:, K:])
+    # M swaps the column blocks of W pairwise: (I, U1) and (Y, Z^T)
+    F = np.conjugate(W.reshape(n, 2, 2, K)[:, :, ::-1]).reshape(n, 4 * K)
+    H = F @ (W.conj().T @ W * 0.5)
+    H[2 * K:] -= W[2 * K:]
+    X = F @ H.conj().T
+    X += X.conj().T
+    X.flat[:2 * K * (n + 1):n + 1] -= 1.0
+    return float(np.sqrt(np.vdot(X, X).real))
 
 
 @lru_cache(maxsize=8)

@@ -159,14 +159,19 @@ def test_criterion_6_complexity_scaling(capsys):
             alpha, beta = update_alpha_beta(red.Hbar, T, red.sigma)
             states[L] = (red.Hbar, T, alpha, beta)
 
-        def t_update(L):
-            Hbar, T, alpha, beta = states[L]
-            timer = timeit.Timer(lambda: update_T(Hbar, T, alpha, beta, Pt))
-            return median(timer.repeat(repeat=9, number=500)) / 500
-
-        t_update(16)  # warm-up
-        t16, t256 = t_update(16), t_update(256)
-        assert abs(t256 - t16) <= 0.20 * max(t16, t256), (t16, t256)
+        timers = {L: timeit.Timer(lambda s=states[L]: update_T(*s, Pt)) for L in states}
+        timers[16].timeit(number=500)  # warm-up
+        # the repeats alternate between the sizes, so the two runs of a pair
+        # see the same load from elsewhere, and the median of the pairs'
+        # ratios is the cost ratio whatever that load did between pairs
+        times = {16: [], 256: []}
+        for i in range(9):
+            for L in ((16, 256) if i % 2 == 0 else (256, 16)):
+                times[L].append(timers[L].timeit(number=500) / 500)
+        ratio = median(b / a for a, b in zip(times[16], times[256]))
+        t16, t256 = median(times[16]), median(times[256])
+        # |t256 - t16| <= 0.20 * max(t16, t256), per pair
+        assert 0.8 <= ratio <= 1 / 0.8, (ratio, times)
 
         def t_reduce(L):
             ch = generate_rayleigh(L, 4, seed=0)

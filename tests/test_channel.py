@@ -108,6 +108,33 @@ def test_reduce_phase_canonical():
             assert lead.real >= 0.0
 
 
+def reference_reduction(H):
+    """reduce_channel's phase gauge as the per-column loop it replaced."""
+    Q, s, Rh = np.linalg.svd(H, full_matrices=False)
+    for j in range(Q.shape[1]):
+        i0 = np.flatnonzero(Q[:, j] != 0)[0]
+        z = Q[i0, j]
+        phase = z / abs(z)
+        Q[:, j] *= phase.conjugate()
+        Q[i0, j] = abs(z)
+        Rh[j, :] *= phase
+    return Q, Rh.conj().T, Q.conj().T @ H
+
+
+def test_reduce_matches_loop_reference():
+    # the vectorized phase divides in another order: agreement to a few
+    # ulps of the unit-scale entries, not bit for bit
+    zeros_on_top = np.array([[0.0, 0.0], [1j, 0.0], [0.0, 2.0 - 1j]])
+    channels = [ChannelSet(H=zeros_on_top), ChannelSet(H=np.eye(3, dtype=complex))]
+    channels += [generate_rayleigh(L, K, seed) for L, K in ((6, 3), (32, 4), (16, 16))
+                 for seed in range(5)]
+    for ch in channels:
+        red = reduce_channel(ch)
+        for got, want in zip((red.Q, red.R, red.Hbar), reference_reduction(ch.H)):
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * scale
+
+
 def test_reduce_rank_deficient():
     h = generate_rayleigh(4, 1, seed=0).H
     ch = ChannelSet(H=np.hstack([h, h]))

@@ -45,6 +45,11 @@ def test_snr_to_power():
     assert snr_to_power(0.0) == pytest.approx(1.0)
     assert snr_to_power(10.0) == pytest.approx(10.0)
     assert snr_to_power(20.0) == pytest.approx(100.0)
+    # 10^(snr/10) overflows above about 3083 dB and underflows to 0 below
+    # about -3240 dB
+    for snr in (4000.0, -4000.0, np.nan):
+        with pytest.raises(DimensionError, match="finite and positive"):
+            snr_to_power(snr)
 
 
 def test_mode_architectures():

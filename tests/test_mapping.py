@@ -192,7 +192,7 @@ def test_derived_blocks_follow_scattering_matrices():
     sol = map_digital_to_milac(random_beamformer(7, 3, Pt=2.0, seed=31))
     assert np.array_equal(sol.F, sol.Theta.S[3:, :3] / 2)
     assert np.array_equal(sol.W, sol.Phi.S[3:, :3] / 2)
-    assert np.array_equal(sol.G, sol.W @ sol.Psqrt @ sol.F)
+    assert np.array_equal(sol.G, sol.W @ (sol.Psqrt @ sol.F))
     with pytest.raises(TypeError):
         TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=sol.Psqrt, G=sol.G)
 
@@ -237,12 +237,14 @@ def test_complement_layer(case):
 
 
 def test_axis_aligned_column_has_zero_reflector():
-    # LAPACK leaves a column that already equals e_i unreflected (tau = 0),
-    # which the triangular-factor recurrence must survive
+    # LAPACK leaves a column of Pd that already equals e_i unreflected
+    # (tau = 0), which the triangular-factor recurrence must survive
     for d in (_scaled([[1.0], [0.0]]), _scaled(np.eye(5)[:, :2])):
-        U1 = map_digital_to_milac(d).Phi.S[d.K:, :d.K]
-        _, tau = np.linalg.qr(U1, mode="raw")
+        _, tau = np.linalg.qr(d.Pd, mode="raw")
         assert np.any(tau == 0)
+        sol = map_digital_to_milac(d)
+        assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
+        assert np.linalg.norm(sol.G - d.Pd) <= 1e-12 * np.linalg.norm(d.Pd)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,11 +259,14 @@ def test_exactness_property(shape, seed, Pt):
     assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
 
 
-def _dense_second_layer(U1):
-    """The dense (L+K)-port second layer as the mapping built it before Phi
-    was kept factored, written out: its bits are what phi.txt holds."""
-    L, K = U1.shape
-    h, tau = np.linalg.qr(U1, mode="raw")
+def _dense_second_layer(Pd):
+    """The dense (L+K)-port second layer of Pd, written out: the raw
+    Householder QR Pd = Q [R; 0], the SVD R = Ur S V^H and
+    U1 = Q [Ur; 0], with -U2 U2^T from the same reflectors. Its bits are
+    what phi.txt holds."""
+    L, K = Pd.shape
+    h, tau = np.linalg.qr(Pd, mode="raw")
+    Ur = np.linalg.svd(np.triu(h[:, :K].T))[0]
     V = np.tril(h.T, -1)
     np.fill_diagonal(V, 1.0)
     VhV = V.conj().T @ V
@@ -269,6 +274,8 @@ def _dense_second_layer(U1):
     for i in range(1, K):
         T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
     Y = V @ T
+    U1 = -(Y @ (V[:K].conj().T @ Ur))
+    U1[:K] += Ur
     b = V[K:].conj()
     Z = (b.T @ b) @ Y.T * -0.5
     Z[:, K:] += b.T
@@ -286,8 +293,7 @@ def test_factored_phi_materializes_bit_identical(case, tmp_path):
     d = COMPLEMENT_CASES[case]()
     sol = map_digital_to_milac(d)
     assert isinstance(sol.Phi, FactoredScattering)
-    U1 = np.linalg.svd(d.Pd, full_matrices=False)[0]
-    assert np.array_equal(sol.Phi.S, _dense_second_layer(U1))
+    assert np.array_equal(sol.Phi.S, _dense_second_layer(d.Pd))
     assert np.array_equal(sol.W, sol.Phi.S[d.K:, :d.K] / 2)
     save_solution(tmp_path, sol)
     assert np.array_equal(load_solution(tmp_path).Phi.S, sol.Phi.S)
@@ -314,6 +320,55 @@ def test_factored_check_never_looser_than_dense():
         assert rep.unitarity_residual >= dense.unitarity_residual - 1e-13, (d.L, d.K)
         assert rep.symmetry_residual == dense.symmetry_residual == 0.0
         assert rep.passed and dense.passed
+
+
+def reference_factored_unitarity(U1, Y, Z):
+    """||Phi^H Phi - I||_F of a factored layer by an independent route: a
+    complex QR of Cl[K:] for Cl = [-E A, conj(U1), conj(A)], A = [Y, Z^T],
+    so that the lower L - K rows of Phi^H Phi - I have the norm of R Cr,
+    Cr = [B; U1^T; conj(B) P] with B = [Z; Y^T] and P = A B - E. Products
+    with E = diag(0_K, I_(L-K)) are written as row or column masks, so no
+    L x L array is formed."""
+    L, K = U1.shape
+    A = np.hstack([Y, Z.T])
+    B = np.vstack([Z, Y.T])
+    EA = A.copy()
+    EA[:K] = 0
+    gram = U1.conj().T @ U1 - np.eye(K)
+    off = (U1.conj().T @ A) @ B
+    off[:, K:] -= U1.conj().T[:, K:]  # U1^H P
+    BP = (B.conj() @ A) @ B
+    BP[:, K:] -= B.conj()[:, K:]  # conj(B) P
+    Cl = np.hstack([-EA, U1.conj(), A.conj()])
+    Cr = np.vstack([B, U1.T, BP])
+    top = Cl[:K] @ Cr - np.eye(K, L)
+    low = np.linalg.qr(Cl[K:], mode="r") @ Cr
+    return float(np.sqrt(np.linalg.norm(gram) ** 2 + 2 * np.linalg.norm(off) ** 2
+                         + np.linalg.norm(top) ** 2 + np.linalg.norm(low) ** 2))
+
+
+def test_factored_check_matches_reference():
+    for d in _criterion_1_beamformers():
+        Phi = map_digital_to_milac(d).Phi
+        rep = check_lossless_reciprocal(Phi, tol=1e-10)
+        ref = reference_factored_unitarity(Phi.U1, Phi.Y, Phi.Z)
+        assert abs(rep.unitarity_residual - ref) <= 1e-13, (d.L, d.K)
+
+
+@pytest.mark.parametrize("L,K", [(9, 8), (12, 3), (16, 16), (2048, 4)])
+def test_factored_check_matches_reference_on_perturbed_factors(L, K):
+    # L - K < 6K leaves the real QR square, L = K leaves it empty
+    Phi = map_digital_to_milac(random_beamformer(L, K, Pt=1.0, seed=L + K)).Phi
+    entries = {"U1": [(0, 0), (L - 1, K - 1)], "Y": [(L - 1, 0), (L // 2, K - 1)],
+               "Z": [(0, L - 1), (K - 1, K // 2)]}
+    for name, where in entries.items():
+        for (i, j) in where:
+            for delta in (1e-9, 1e-9j, 1e-3):
+                args = dict(U1=Phi.U1.copy(), Y=Phi.Y.copy(), Z=Phi.Z.copy())
+                args[name][i, j] += delta
+                rep = check_lossless_reciprocal(FactoredScattering(**args), tol=1e-10)
+                ref = reference_factored_unitarity(**args)
+                assert rep.unitarity_residual == pytest.approx(ref, rel=1e-6, abs=1e-13), (name, i, j)
 
 
 def test_mapping_allocates_no_dense_layer():
