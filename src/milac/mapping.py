@@ -10,9 +10,10 @@ factors of the matched-port transfer blocks cancel the 4, so the
 effective beamformer reproduces Pd exactly. The second network's
 lower-right block is -U2 U2^T for the orthonormal complement U2 = Q[:, K:]
 of U1, taken from the same reflectors. The second network is kept as
-those factors (a FactoredScattering) and certified lossless reciprocal
-from them, so the mapping and its checks cost O(L K^2) and allocate no
-(L+K) x (L+K) array; the dense matrix is formed only when it is read or
+those reflectors and Ur (a FactoredScattering) and certified lossless
+reciprocal from them with one real QR of an (L-K) x 2K matrix, so the
+mapping and its checks cost O(L K^2) and allocate no (L+K) x (L+K)
+array; U1 and the dense matrix are formed only when they are read or
 saved.
 """
 
@@ -92,10 +93,11 @@ class TwoLayerSolution:
     map_digital_to_milac builds it: then Phi.S forms the dense matrix on
     first read. Construction checks that Theta and Phi are lossless
     reciprocal (Phi from its factors when it has them) and Psqrt diagonal,
-    finite and nonnegative, so deserialized solutions are validated. F and
-    W, the half-scaled transfer blocks, and the effective beamformer
-    G = W Psqrt F are derived from them on access; W reads U1 / 2 off a
-    factored Phi without forming it.
+    finite and nonnegative, so deserialized solutions are validated; a
+    factored Phi built for another stream count than Theta's raises
+    DimensionError. F and W, the half-scaled transfer blocks, and the
+    effective beamformer G = W Psqrt F are derived from them on access; W
+    reads Phi.U1 / 2 off a factored Phi without forming the dense matrix.
     """
 
     Theta: ScatteringMatrix
@@ -111,6 +113,8 @@ class TwoLayerSolution:
         L = phi.n - K
         if L < K:
             raise DimensionError(f"Phi is {phi.n}-port, too small for K={K}")
+        if isinstance(phi, FactoredScattering) and phi.K != K:
+            raise DimensionError(f"Phi is factored for {phi.K} streams, Theta has K={K}")
         for name, mat in (("Theta", theta), ("Phi", phi)):
             rep = check_lossless_reciprocal(mat, tol=SCATTER_TOL)
             if not rep.passed:
@@ -197,30 +201,22 @@ def _second_layer(V: np.ndarray, tau: np.ndarray, Ur: np.ndarray) -> FactoredSca
 
     V (unit lower trapezoidal, L x K) and tau hold the K Householder
     reflectors of np.linalg.qr(Pd, mode="raw") for an L x K Pd. In
-    compact-WY form their product is Q = I - Y V^H with Y = V T, T upper
+    compact-WY form their product is Q = I - V T V^H with T upper
     triangular (Schreiber & Van Loan 1989). Ur is the unitary left factor
-    of the K x K triangle R, so U1 = Q [Ur; 0] = [Ur; 0] - Y (V[:K]^H Ur)
-    and U2 = Q[:, K:] is an orthonormal complement of U1, even when Pd is
-    rank deficient. With E = diag(0_K, I_(L-K)), b = E conj(V) and
-    C = V^H E conj(V), U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y C Y^T,
-    so -U2 U2^T = X + X^T - E for X = Y Z, Z = b^T - C Y^T / 2, and the
-    layer is returned as its factors U1, Y and Z (O(LK) memory). T comes
-    from the forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i],
-    which stays finite when LAPACK returns tau_i = 0 for a column that is
-    already a unit vector.
+    of the K x K triangle R, so U1 = Q [Ur; 0] and U2 = Q[:, K:] is an
+    orthonormal complement of U1, even when Pd is rank deficient. The layer
+    is returned as V, T and Ur (O(LK) memory); FactoredScattering forms U1,
+    the lower-right block and the dense matrix from them only when read.
+    T comes from the forward recurrence
+    T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i], which stays finite when
+    LAPACK returns tau_i = 0 for a column that is already a unit vector.
     """
     K = Ur.shape[0]
     VhV = V.conj().T @ V
     T = np.diag(tau)
     for i in range(1, K):
         T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
-    Y = V @ T
-    U1 = -(Y @ (V[:K].conj().T @ Ur))
-    U1[:K] += Ur
-    b = V[K:].conj()  # the nonzero rows of E conj(V)
-    Z = (b.T @ b) @ Y.T * -0.5
-    Z[:, K:] += b.T
-    return FactoredScattering(U1=U1, Y=Y, Z=Z)
+    return FactoredScattering(V=V, T=T, Ur=Ur)
 
 
 def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoLayerSolution:

@@ -114,45 +114,66 @@ class ScatteringMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FactoredScattering:
-    """(L+K)-port scattering matrix [[0, U1^T], [U1, X + X^T - E]] kept in
-    factored form, with X = Y Z for Y (L x K) and Z (K x L) and
-    E = diag(0_K, I_(L-K)).
+    """(L+K)-port scattering matrix [[0, U1^T], [U1, -U2 U2^T]] kept as the
+    K Householder reflectors it is built from.
 
-    This is the shape of the second MiLAC layer (see
-    milac.mapping._second_layer), whose factors take O(LK) memory against
-    the (L+K)^2 of the dense matrix. The represented matrix is symmetric
-    by construction; check_lossless_reciprocal certifies its unitarity from
-    the factors in O(LK^2). S forms the dense matrix on first read and
-    caches it read-only. Instances compare by identity.
+    V (L x K) and T (K x K) give Q = I - V T V^H, the compact-WY form of a
+    product of K reflectors (Schreiber & Van Loan, SIAM J. Sci. Stat.
+    Comput. 1989), and [U1, U2] = Q diag(Ur, I_(L-K)) for Ur (K x K). With
+    E = diag(0_K, I_(L-K)), Y = V T and b = E conj(V),
+    U2 U2^T = Q E Q^T = E - Y b^T - b Y^T + Y (b^T b) Y^T, so for any V, T
+    and Ur, -U2 U2^T = X + X^T - E with X = Y Z, Z = b^T - (b^T b) Y^T / 2;
+    the matrix is unitary when Q and Ur are. The factors take O(LK) memory
+    against the (L+K)^2 of the dense matrix. The represented matrix is
+    symmetric by construction; check_lossless_reciprocal certifies its
+    unitarity from the factors in O(LK^2). U1 and S are formed on first
+    read and cached read-only. Instances compare by identity.
     """
 
-    U1: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
+    V: np.ndarray
+    T: np.ndarray
+    Ur: np.ndarray
 
     def __post_init__(self):
-        for name in ("U1", "Y", "Z"):
+        for name in ("V", "T", "Ur"):
             # a read-only view: the caller's array stays writable
-            M = np.asarray(getattr(self, name), dtype=np.complex128).view()
+            M = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).view()
             if not np.isfinite(M).all():
                 raise DimensionError(f"{name} has non-finite entries")
             M.setflags(write=False)
             object.__setattr__(self, name, M)
-        L, K = self.U1.shape if self.U1.ndim == 2 else (0, 0)
-        if not 1 <= K <= L or self.Y.shape != (L, K) or self.Z.shape != (K, L):
+        L, K = self.V.shape if self.V.ndim == 2 else (0, 0)
+        if not 1 <= K <= L or self.T.shape != (K, K) or self.Ur.shape != (K, K):
             raise DimensionError(
-                f"factors of shapes {self.U1.shape}, {self.Y.shape}, {self.Z.shape} are "
-                "not U1 (L x K, L >= K >= 1), Y (L x K) and Z (K x L)"
+                f"factors of shapes {self.V.shape}, {self.T.shape}, {self.Ur.shape} are "
+                "not V (L x K, L >= K >= 1), T (K x K) and Ur (K x K)"
             )
 
     @property
+    def K(self) -> int:
+        return self.V.shape[1]
+
+    @property
     def n(self) -> int:
-        return sum(self.U1.shape)
+        return sum(self.V.shape)
+
+    @cached_property
+    def U1(self) -> np.ndarray:
+        """Q [Ur; 0] (L x K), the block Phi21."""
+        K = self.K
+        U1 = -((self.V @ self.T) @ (self.V[:K].conj().T @ self.Ur))
+        U1[:K] += self.Ur
+        U1.setflags(write=False)
+        return U1
 
     @cached_property
     def S(self) -> np.ndarray:
-        L, K = self.U1.shape
-        X = self.Y @ self.Z
+        L, K = self.V.shape
+        Y = self.V @ self.T
+        b = self.V[K:].conj()  # the nonzero rows of E conj(V)
+        Z = (b.T @ b) @ Y.T * -0.5
+        Z[:, K:] += b.T
+        X = Y @ Z
         X.flat[K * (L + 1)::L + 1] -= 0.5  # X - E/2, so the sum below carries -E
         S = np.zeros((L + K, L + K), dtype=np.complex128)
         S[:K, K:] = self.U1.T
@@ -294,16 +315,17 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
     finite.
 
     Factored input: the residuals of the matrix it represents, from its
-    factors in O(LK^2), without forming any (L+K)^2 array (see
-    _factored_unitarity). The represented matrix is symmetric by
-    construction, so its symmetry residual is exactly 0.
+    reflector factors V, T and Ur in O(LK^2) with one real QR of V[K:]
+    viewed as an (L-K) x 2K real matrix, without forming U1 or any
+    (L+K)^2 array (see _factored_unitarity). The represented matrix is
+    symmetric by construction, so its symmetry residual is exactly 0.
 
     tol must be positive and finite; passed is both residuals <= tol.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DimensionError(f"tol must be positive and finite, got {tol}")
     if isinstance(S, FactoredScattering):
-        uni = _factored_unitarity(S.U1, S.Y, S.Z)
+        uni = _factored_unitarity(S.V, S.T, S.Ur)
         return LosslessReciprocalReport(
             unitarity_residual=uni, symmetry_residual=0.0, tol=tol,
             passed=bool(uni <= tol),
@@ -328,10 +350,10 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
     )
 
 
-def _factored_unitarity(U1: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
+def _factored_unitarity(V: np.ndarray, T: np.ndarray, Ur: np.ndarray) -> float:
     """||Phi^H Phi - I||_F of Phi = [[0, U1^T], [U1, P]], P = A Pi A^T - E,
-    with A = [Y, Z^T] (L x 2K), Pi the swap of A's two column blocks and
-    E = diag(0_K, I_(L-K)).
+    the FactoredScattering(V, T, Ur), with A = [Z^T, Y] (L x 2K), Pi the
+    swap of A's two column blocks and E = diag(0_K, I_(L-K)).
 
     With W = [[I_K, 0], [0, [U1, A]]] ((L+K) x 4K),
     M = [[0, I, 0], [I, 0, 0], [0, 0, Pi]] and Ehat = diag(0_K, E),
@@ -340,35 +362,44 @@ def _factored_unitarity(U1: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
     Phi^H Phi - I = F Gw F^H - F (Ehat W)^H - (Ehat W) F^H - J J^T
                   = F H^H + H F^H - J J^T,
     F = conj(W) M, H = F Gw / 2 - Ehat W.
-    Below row 2K every column of W and Ehat W lies in the span of the real
-    and imaginary parts of [U1, A][K:], an (L-K) x 6K real matrix. Its one
-    real QR gives an orthonormal real basis Q and, in the columns of R, the
-    coefficients of those parts. Q is real, so conj(W) has the conjugate
-    coefficients, and every term above is B (.) B^T for B = diag(I_2K, Q):
-    the residual is the Frobenius norm of an n x n matrix,
-    n = 2K + min(L-K, 6K), built from products with at most 4K inner
-    terms. The residual is never squared before the cancellation, unlike
-    in a trace form of ||Phi^H Phi - I||_F^2, where terms of size 1 would
-    have to cancel to a squared residual near 1e-28, far below their
-    rounding.
-    Every identity holds for any U1, Y and Z, so the result is the
+    The factors give [U1, A] = [[Ur, 0, 0]; 0] + Y [N, I_K] + b [0, I_K, 0]
+    with N = [-V[:K]^H Ur, -(b^T b) / 2] and b = E conj(V), so below row K
+    every column of [U1, A] is a combination of the columns of V[K:] and
+    conj(V[K:]), whose real span has dimension at most 2K. One real QR of
+    V[K:] viewed as an (L-K) x 2K real matrix (the real and imaginary
+    parts of each column side by side) gives an orthonormal real basis Qb
+    and, in its triangle viewed as complex, the coefficients Cv of
+    V[K:] = Qb Cv. Qb is real, so conj(V[K:]) = Qb conj(Cv), b^T b =
+    conj(Cv)^T conj(Cv) needs no product of length L, and
+    [U1, A][K:] = Qb (Cv T [N, I_K] + [0, conj(Cv), 0]). Every term above
+    is then B (.) B^T for B = diag(I_2K, Qb): the residual is the
+    Frobenius norm of an n x n matrix, n = 2K + min(L-K, 2K), built from
+    products with at most 4K inner terms. The residual is never squared
+    before the cancellation, unlike in a trace form of
+    ||Phi^H Phi - I||_F^2, where terms of size 1 would have to cancel to a
+    squared residual near 1e-28, far below their rounding.
+    Every identity holds for any V, T and Ur, so the result is the
     residual of the represented matrix up to rounding.
     """
-    L, K = U1.shape
-    C = np.concatenate((U1.T, Y.T, Z))  # [U1, A]^T
-    # the real QR's input, built so that its transpose is in Fortran order
-    h = np.linalg.qr(np.concatenate((C.real[:, K:], C.imag[:, K:])).T, mode="raw")[0]
+    L, K = V.shape
+    h = np.linalg.qr(V[K:].view(np.float64), mode="raw")[0]
     m = min(h.shape)
     n = 2 * K + m
-    # W in the basis B; R from the raw factorization, masked, is the
-    # coefficients: real parts in its first 3K columns, imaginary in the rest
+    # Vc = [V[:K]; Cv], Cv read off the triangle of the raw factorization
+    Vc = np.empty((K + m, K), dtype=np.complex128)
+    Vc[:K] = V[:K]
+    np.multiply(h[:, :m].T, _upper_triangle(m, 2 * K), out=Vc[K:].view(np.float64))
+    Cc = Vc[K:].conj()
+    N = np.empty((K, 2 * K), dtype=np.complex128)
+    np.matmul(V[:K].conj().T, -Ur, out=N[:, :K])
+    np.matmul(Cc.T, Cc * -0.5, out=N[:, K:])
+    # W = [[I_K, 0], [0, [U1, Z^T, Y]]] in the basis B
     W = np.zeros((n, 4 * K), dtype=np.complex128)
     W.flat[:K * (4 * K + 1):4 * K + 1] = 1.0
-    W[K:2 * K, K:] = C[:, :K].T
-    mask = _upper_triangle(m, 6 * K)
-    np.multiply(h[:3 * K, :m].T, mask[:, :3 * K], out=W.real[2 * K:, K:])
-    np.multiply(h[3 * K:, :m].T, mask[:, 3 * K:], out=W.imag[2 * K:, K:])
-    # M swaps the column blocks of W pairwise: (I, U1) and (Y, Z^T)
+    np.matmul(np.matmul(Vc, T, out=W[K:, 3 * K:]), N, out=W[K:, K:3 * K])
+    W[K:2 * K, K:2 * K] += Ur
+    W[2 * K:, 2 * K:3 * K] += Cc
+    # M swaps the column blocks of W pairwise: (I, U1) and (Z^T, Y)
     F = np.conjugate(W.reshape(n, 2, 2, K)[:, :, ::-1]).reshape(n, 4 * K)
     H = F @ (W.conj().T @ W * 0.5)
     H[2 * K:] -= W[2 * K:]

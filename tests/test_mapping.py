@@ -197,6 +197,19 @@ def test_derived_blocks_follow_scattering_matrices():
         TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=sol.Psqrt, G=sol.G)
 
 
+def test_factored_phi_must_match_theta_streams():
+    # a factored Phi carries its own stream count; a 12-port Phi for K=2
+    # next to a K=4 Theta would read as an L=8 layer with a 10 x 2 W
+    sol = map_digital_to_milac(random_beamformer(6, 4, Pt=1.0, seed=32))
+    other = map_digital_to_milac(random_beamformer(10, 2, Pt=1.0, seed=33))
+    with pytest.raises(DimensionError, match="2 streams"):
+        TwoLayerSolution(Theta=sol.Theta, Phi=other.Phi, Psqrt=sol.Psqrt)
+    # a dense Phi carries no stream count: the same 12 ports split as K=4,
+    # L=8, and every derived block follows that split
+    out = TwoLayerSolution(Theta=sol.Theta, Phi=other.Phi.S, Psqrt=sol.Psqrt)
+    assert out.L == 8 and out.W.shape == out.G.shape == (8, 4)
+
+
 def _scaled(Pd):
     Pd = np.asarray(Pd, dtype=complex)
     return DigitalBeamformer(Pd=Pd / np.linalg.norm(Pd), Pt=1.0)
@@ -259,12 +272,11 @@ def test_exactness_property(shape, seed, Pt):
     assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
 
 
-def _dense_second_layer(Pd):
-    """The dense (L+K)-port second layer of Pd, written out: the raw
-    Householder QR Pd = Q [R; 0], the SVD R = Ur S V^H and
-    U1 = Q [Ur; 0], with -U2 U2^T from the same reflectors. Its bits are
-    what phi.txt holds."""
-    L, K = Pd.shape
+def _reflector_factors(Pd):
+    """V, T and Ur of the second layer of Pd, written out: the raw
+    Householder QR Pd = Q [R; 0] with Q = I - V T V^H and the SVD
+    R = Ur S V^H."""
+    K = Pd.shape[1]
     h, tau = np.linalg.qr(Pd, mode="raw")
     Ur = np.linalg.svd(np.triu(h[:, :K].T))[0]
     V = np.tril(h.T, -1)
@@ -273,12 +285,28 @@ def _dense_second_layer(Pd):
     T = np.diag(tau)
     for i in range(1, K):
         T[:i, i] = -tau[i] * (T[:i, :i] @ VhV[:i, i])
+    return V, T, Ur
+
+
+def _written_out_factors(V, T, Ur):
+    """U1 = Q [Ur; 0], Y = V T and Z = b^T - (b^T b) Y^T / 2 with
+    b = E conj(V), so that -U2 U2^T = Y Z + (Y Z)^T - E."""
+    K = T.shape[0]
     Y = V @ T
     U1 = -(Y @ (V[:K].conj().T @ Ur))
     U1[:K] += Ur
     b = V[K:].conj()
     Z = (b.T @ b) @ Y.T * -0.5
     Z[:, K:] += b.T
+    return U1, Y, Z
+
+
+def _dense_second_layer(Pd):
+    """The dense (L+K)-port second layer of Pd, written out from the
+    reflector factors: U1 = Q [Ur; 0] and -U2 U2^T from the same
+    reflectors. Its bits are what phi.txt holds."""
+    L, K = Pd.shape
+    U1, Y, Z = _written_out_factors(*_reflector_factors(Pd))
     X = Y @ Z
     X.flat[K * (L + 1)::L + 1] -= 0.5
     Phi = np.zeros((L + K, L + K), dtype=np.complex128)
@@ -348,26 +376,32 @@ def reference_factored_unitarity(U1, Y, Z):
 
 
 def test_factored_check_matches_reference():
-    for d in _criterion_1_beamformers():
-        Phi = map_digital_to_milac(d).Phi
+    # the complement cases include axis-aligned columns (tau = 0), a zero
+    # singular value, L = K and K = 1, where the real QR of V[K:] is rank
+    # deficient or empty
+    layers = [map_digital_to_milac(d).Phi for d in _criterion_1_beamformers()]
+    layers += [map_digital_to_milac(make()).Phi for make in COMPLEMENT_CASES.values()]
+    for Phi in layers:
         rep = check_lossless_reciprocal(Phi, tol=1e-10)
-        ref = reference_factored_unitarity(Phi.U1, Phi.Y, Phi.Z)
-        assert abs(rep.unitarity_residual - ref) <= 1e-13, (d.L, d.K)
+        ref = reference_factored_unitarity(*_written_out_factors(Phi.V, Phi.T, Phi.Ur))
+        assert abs(rep.unitarity_residual - ref) <= 1e-13, Phi.V.shape
 
 
 @pytest.mark.parametrize("L,K", [(9, 8), (12, 3), (16, 16), (2048, 4)])
 def test_factored_check_matches_reference_on_perturbed_factors(L, K):
-    # L - K < 6K leaves the real QR square, L = K leaves it empty
+    # L - K < 2K leaves the real QR square, L = K leaves it empty; V is
+    # perturbed on its unit diagonal and above it too
     Phi = map_digital_to_milac(random_beamformer(L, K, Pt=1.0, seed=L + K)).Phi
-    entries = {"U1": [(0, 0), (L - 1, K - 1)], "Y": [(L - 1, 0), (L // 2, K - 1)],
-               "Z": [(0, L - 1), (K - 1, K // 2)]}
+    entries = {"V": [(0, 0), (0, K - 1), (L - 1, 0), (L // 2, K - 1)],
+               "T": [(0, K - 1), (K - 1, K // 2)],
+               "Ur": [(0, 0), (K - 1, K // 2)]}
     for name, where in entries.items():
         for (i, j) in where:
             for delta in (1e-9, 1e-9j, 1e-3):
-                args = dict(U1=Phi.U1.copy(), Y=Phi.Y.copy(), Z=Phi.Z.copy())
+                args = dict(V=Phi.V.copy(), T=Phi.T.copy(), Ur=Phi.Ur.copy())
                 args[name][i, j] += delta
                 rep = check_lossless_reciprocal(FactoredScattering(**args), tol=1e-10)
-                ref = reference_factored_unitarity(**args)
+                ref = reference_factored_unitarity(*_written_out_factors(**args))
                 assert rep.unitarity_residual == pytest.approx(ref, rel=1e-6, abs=1e-13), (name, i, j)
 
 

@@ -312,35 +312,41 @@ def test_cayley_properties(n, seed):
 
 
 def layer_factors(L, K, seed):
-    """U1, Y and Z of the second layer map_digital_to_milac builds for a
+    """V, T and Ur of the second layer map_digital_to_milac builds for a
     seeded L x K beamformer."""
     rng = np.random.default_rng(seed)
     Pd = rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))
     Phi = map_digital_to_milac(DigitalBeamformer(Pd=Pd, Pt=float(np.linalg.norm(Pd) ** 2))).Phi
-    return Phi.U1, Phi.Y, Phi.Z
+    return Phi.V, Phi.T, Phi.Ur
 
 
 def test_factored_scattering_validation():
-    U1, Y, Z = layer_factors(6, 2, seed=1)
-    Phi = FactoredScattering(U1=U1, Y=Y, Z=Z)
-    assert Phi.n == 8
-    assert Phi.S is Phi.S  # formed once
+    V, T, Ur = layer_factors(6, 2, seed=1)
+    Phi = FactoredScattering(V=V, T=T, Ur=Ur)
+    assert Phi.n == 8 and Phi.K == 2
+    assert Phi.S is Phi.S and Phi.U1 is Phi.U1  # formed once
     # identity comparison: no elementwise array comparison is attempted
-    assert Phi == Phi and Phi != FactoredScattering(U1=U1, Y=Y, Z=Z)
-    for M in (Phi.S, Phi.U1, Phi.Y, Phi.Z):
+    assert Phi == Phi and Phi != FactoredScattering(V=V, T=T, Ur=Ur)
+    for M in (Phi.S, Phi.U1, Phi.V, Phi.T, Phi.Ur):
         assert not M.flags.writeable
     # the caller's arrays are not frozen
-    mine = U1.copy()
-    FactoredScattering(U1=mine, Y=Y, Z=Z)
+    mine = V.copy()
+    FactoredScattering(V=mine, T=T, Ur=Ur)
     mine[0, 0] = 0.0
-    bad_shapes = [(U1[:, 0], Y, Z), (U1.T, Y, Z), (U1, Y.T, Z), (U1, Y, Z.T),
-                  (U1[:1], Y[:1], Z[:, :1]), (U1[:, :0], Y[:, :0], Z[:0])]
-    for u, y, z in bad_shapes:
-        with pytest.raises(DimensionError, match="not U1"):
-            FactoredScattering(U1=u, Y=y, Z=z)
-    for name in ("U1", "Y", "Z"):
+    # any memory layout represents the same matrix; the check reads V[K:]
+    # as a real matrix, which needs contiguous rows
+    other = FactoredScattering(V=np.asfortranarray(V), T=T.T.copy().T, Ur=Ur)
+    assert np.array_equal(other.S, Phi.S)
+    assert (check_lossless_reciprocal(other).unitarity_residual
+            == check_lossless_reciprocal(Phi).unitarity_residual)
+    bad_shapes = [(V[:, 0], T, Ur), (V.T, T, Ur), (V, T[:1], Ur), (V, T, Ur[:, :1]),
+                  (V[:1], T, Ur), (V[:, :0], T[:0, :0], Ur[:0, :0])]
+    for v, t, u in bad_shapes:
+        with pytest.raises(DimensionError, match="not V"):
+            FactoredScattering(V=v, T=t, Ur=u)
+    for name in ("V", "T", "Ur"):
         for bad in (np.nan, np.inf, 1j * np.inf):
-            args = dict(U1=U1.copy(), Y=Y.copy(), Z=Z.copy())
+            args = dict(V=V.copy(), T=T.copy(), Ur=Ur.copy())
             args[name][1, 1] = bad
             with pytest.raises(DimensionError, match=f"{name} has non-finite"):
                 FactoredScattering(**args)
@@ -350,24 +356,41 @@ def test_factored_scattering_validation():
 def test_factored_check_sees_perturbed_factors(L, K):
     # a factored layer has no dense entries to perturb, so its factors are:
     # the factored residual must fail where the dense check of the
-    # represented matrix fails, and read the same value
-    U1, Y, Z = layer_factors(L, K, seed=L + K)
-    base = check_lossless_reciprocal(FactoredScattering(U1=U1, Y=Y, Z=Z), tol=1e-10)
+    # represented matrix fails, and read the same value. V is perturbed on
+    # its unit diagonal and above it too, where a mapped layer holds the
+    # constants 1 and 0.
+    V, T, Ur = layer_factors(L, K, seed=L + K)
+    base = check_lossless_reciprocal(FactoredScattering(V=V, T=T, Ur=Ur), tol=1e-10)
     assert base.passed and base.symmetry_residual == 0.0
-    entries = {"U1": [(0, 0), (L - 1, K - 1), (L // 2, K // 2)],
-               "Y": [(0, 0), (K - 1, 0), (L - 1, K - 1), (L // 2, K // 2)],
-               "Z": [(0, 0), (K - 1, K - 1), (0, L - 1), (K // 2, L // 2)]}
+    entries = {"V": [(0, 0), (0, K - 1), (K - 1, 0), (L - 1, K - 1), (L // 2, K // 2)],
+               "T": [(0, 0), (0, K - 1), (K - 1, K - 1), (K // 2, K // 2)],
+               "Ur": [(0, 0), (K - 1, 0), (K - 1, K - 1), (K // 2, K // 2)]}
     for name, where in entries.items():
         for (i, j) in where:
             for delta in (1e-9, 1e-9j):
-                args = dict(U1=U1.copy(), Y=Y.copy(), Z=Z.copy())
+                # V's first row is e_0, so an imaginary change of V[0, 0]
+                # leaves V^H V, and with it the unitarity of Q, unchanged to
+                # first order; so does one of a real 1 x 1 Ur. Both checks
+                # must pass these.
+                unseen = delta == 1e-9j and ((name, i, j) == ("V", 0, 0)
+                                             or name == "Ur" and K == 1 and not Ur.imag.any())
+                # at K=1 the one reflector's entries below row 0 are small
+                # (0.10 at row L-1), where a change of 1e-9 moves Phi by less
+                # than the tolerance; a change of 1e-8 shows
+                if name == "V" and K == 1 and i > 0:
+                    delta *= 10
+                args = dict(V=V.copy(), T=T.copy(), Ur=Ur.copy())
                 args[name][i, j] += delta
                 layer = FactoredScattering(**args)
                 rep = check_lossless_reciprocal(layer, tol=1e-10)
                 dense = check_lossless_reciprocal(layer.S, tol=1e-10)
                 uni, sym = dense_residuals(layer.S)
-                assert not rep.passed and not dense.passed, (name, i, j, delta)
-                assert rep.unitarity_residual > 1e-10
-                assert rep.unitarity_residual == pytest.approx(uni, rel=1e-6)
-                assert rep.unitarity_residual == pytest.approx(dense.unitarity_residual, rel=1e-6)
+                if unseen:
+                    assert rep.passed and dense.passed, (name, i, j, delta)
+                    assert max(rep.unitarity_residual, dense.unitarity_residual) <= 1e-13
+                else:
+                    assert not rep.passed and not dense.passed, (name, i, j, delta)
+                    assert rep.unitarity_residual > 1e-10
+                    assert rep.unitarity_residual == pytest.approx(uni, rel=1e-6)
+                    assert rep.unitarity_residual == pytest.approx(dense.unitarity_residual, rel=1e-6)
                 assert rep.symmetry_residual == sym == 0.0
