@@ -17,19 +17,12 @@ from .channel import (
     save_channel,
 )
 from .errors import (
-    AsymmetricComponentError,
-    DegenerateProjectionError,
     DimensionError,
-    DimensionTooLargeError,
     InconsistentSolutionError,
-    MatrixFormatError,
     MilacError,
-    NegativeEntryError,
-    NonFiniteObjectiveError,
     NotRealizableError,
+    NumericalError,
     RankDeficientError,
-    ResidueTooLargeError,
-    SingularNetworkError,
 )
 from .harness import (
     ExperimentSpec,
@@ -43,16 +36,13 @@ from .mapping import (
     DigitalBeamformer,
     PhiFeasibilityReport,
     TwoLayerSolution,
-    effective_beamformer,
     load_solution,
     map_digital_to_milac,
-    power_step,
     save_solution,
     verify_phi_feasibility,
 )
 from .matio import load_matrix, save_matrix
 from .network import (
-    AdmittanceMatrix,
     FactoredScattering,
     LosslessReciprocalReport,
     ReferenceImpedance,
@@ -69,7 +59,6 @@ from .optimizer import (
     SolverConfig,
     matched_filter_init,
     random_init,
-    sinr,
     solve_psla,
     solve_two_layer,
     sum_rate,
@@ -79,5 +68,31 @@ from .optimizer import (
     user_rates,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # baselines
+    "OracleConfig", "brute_force_oracle", "solve_full_dim", "zero_forcing",
+    # channel
+    "ChannelSet", "ReducedChannel", "generate_rayleigh", "load_channel",
+    "reduce_channel", "save_channel",
+    # errors
+    "DimensionError", "InconsistentSolutionError", "MilacError",
+    "NotRealizableError", "NumericalError", "RankDeficientError",
+    # harness
+    "ExperimentSpec", "SweepResult", "SweepRow", "run_experiment", "snr_to_power",
+    "summarize",
+    # mapping
+    "DigitalBeamformer", "PhiFeasibilityReport", "TwoLayerSolution", "load_solution",
+    "map_digital_to_milac", "save_solution", "verify_phi_feasibility",
+    # matio
+    "load_matrix", "save_matrix",
+    # network
+    "FactoredScattering", "LosslessReciprocalReport", "ReferenceImpedance",
+    "ScatteringMatrix", "SusceptanceMatrix", "admittance_from_components",
+    "beamformer_from_scattering", "check_lossless_reciprocal",
+    "scattering_from_susceptance", "susceptance_from_scattering",
+    # optimizer
+    "SolveReport", "SolverConfig", "matched_filter_init", "random_init", "solve_psla",
+    "solve_two_layer", "sum_rate", "surrogate_value", "update_T", "update_alpha_beta",
+    "user_rates",
+]
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, reduce_channel
-from .errors import DimensionError, DimensionTooLargeError, RankDeficientError
+from .errors import DimensionError, RankDeficientError, check_count, check_positive
 from .optimizer import LN2, SolveReport, SolverConfig, run_fp, sum_rate, user_rates
 
 
@@ -23,12 +23,9 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DimensionError(f"samples must be >= 1, got {self.samples}")
-        if self.polish_steps < 0:
-            raise DimensionError(f"polish_steps must be >= 0, got {self.polish_steps}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise DimensionError(f"step_size must be positive, got {self.step_size}")
+        object.__setattr__(self, "samples", check_count("samples", self.samples, 1))
+        object.__setattr__(self, "polish_steps", check_count("polish_steps", self.polish_steps, 0))
+        object.__setattr__(self, "step_size", check_positive("step_size", self.step_size))
 
 
 def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
@@ -55,8 +52,10 @@ def zero_forcing(ch: ChannelSet, Pt: float) -> np.ndarray:
     """Pseudo-inverse precoder with equal per-user power.
 
     Beam directions are the columns of H (H^H H)^(-1), which null all
-    inter-user interference; each is scaled to power Pt/K.
+    inter-user interference; each is scaled to power Pt/K. Pt must be
+    finite and positive.
     """
+    Pt = check_positive("Pt", Pt)
     H = ch.H
     gram = H.conj().T @ H
     if np.linalg.cond(gram) >= 1e12:
@@ -98,10 +97,11 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
     contiguous generator block and the polish is noise-free and
     elementwise, so enlarging `samples` keeps earlier samples' results
     unchanged and the best-of-N value is non-decreasing in N. Limited to
-    2*L*K <= 8 real dimensions.
+    2*L*K <= 8 real dimensions, and Pt must be finite and positive.
     """
+    Pt = check_positive("Pt", Pt)
     if 2 * ch.L * ch.K > 8:
-        raise DimensionTooLargeError(
+        raise DimensionError(
             f"instance has {2 * ch.L * ch.K} real dimensions, limit is 8"
         )
     red = reduce_channel(ch)

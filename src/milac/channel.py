@@ -3,7 +3,7 @@ range-space reduction that shrinks the precoder search to K dimensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +60,21 @@ class ChannelSet:
 
 @dataclass(frozen=True, eq=False)
 class ReducedChannel:
-    """Economy SVD H = Q Sigma R^H plus the reduced channel Hbar = Q^H H.
+    """Range basis Q of H and the reduced channel Hbar = Q^H H.
 
-    Q has orthonormal columns spanning the channel range space; the first
-    nonzero entry of each column is made real and nonnegative so the
-    factorization is unique. sigma is copied from the source ChannelSet so
-    the reduced problem is self-contained.
+    Q holds the left singular vectors of the economy SVD H = Q Sigma R^H,
+    so H = Q Hbar and Hbar = Sigma R^H carries the singular values and the
+    right factor. The first nonzero entry of each column of Q is made real
+    and nonnegative so the factorization is unique. sigma is copied from
+    the source ChannelSet so the reduced problem is self-contained.
     """
 
     Q: np.ndarray
-    Sigma: np.ndarray
-    R: np.ndarray
     Hbar: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        for name in ("Q", "Sigma", "R", "Hbar", "sigma"):
+        for name in ("Q", "Hbar", "sigma"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -103,29 +102,27 @@ def generate_rayleigh(L: int, K: int, seed) -> ChannelSet:
 
 
 def reduce_channel(ch: ChannelSet) -> ReducedChannel:
-    """Factor H = Q Sigma R^H and form Hbar = Q^H H.
+    """Factor H = Q Sigma R^H and form Hbar = Q^H H = Sigma R^H.
 
     The reduction preserves the Gram matrix (Hbar^H Hbar = H^H H), so any
     precoder expressed in the Q basis achieves the same rates as its
     full-dimension image. Raises RankDeficientError when the smallest
     singular value falls below RANK_TOL times the largest.
     """
-    Q, s, Rh = np.linalg.svd(ch.H, full_matrices=False)
+    Q, s, _ = np.linalg.svd(ch.H, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientError(
             f"channel rank deficient: singular values {s[0]:.3e} .. {s[-1]:.3e}"
         )
     # unique representative: rotate each column so its first nonzero entry
-    # is real nonnegative, absorbing the phase into the matching row of R^H
+    # is real nonnegative; Hbar = Q^H H absorbs the phase
     cols = np.arange(Q.shape[1])
     first = np.argmax(Q != 0, axis=0)
     z = Q[first, cols]
     phase = z / np.abs(z)
     Q *= phase.conj()
     Q[first, cols] = np.abs(z)
-    Rh *= phase[:, None]
-    Hbar = Q.conj().T @ ch.H
-    return ReducedChannel(Q=Q, Sigma=np.diag(s), R=Rh.conj().T, Hbar=Hbar, sigma=ch.sigma)
+    return ReducedChannel(Q=Q, Hbar=Q.conj().T @ ch.H, sigma=ch.sigma)
 
 
 def save_channel(path, ch: ChannelSet) -> None:

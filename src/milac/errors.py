@@ -1,4 +1,8 @@
-"""Exception types raised by the milac package."""
+"""Exception types raised by the milac package, and the scalar argument
+checks that raise DimensionError."""
+
+import math
+import operator
 
 
 class MilacError(Exception):
@@ -6,48 +10,49 @@ class MilacError(Exception):
 
 
 class DimensionError(MilacError, ValueError):
-    """Shape, size, or index precondition violated."""
+    """Invalid argument or input file: its shape, size, index, value or
+    format."""
 
 
 class RankDeficientError(MilacError, ValueError):
     """Channel matrix is numerically rank deficient."""
 
 
-class AsymmetricComponentError(MilacError, ValueError):
-    """Two-port component map gives conflicting values for (i, v) and (v, i)."""
-
-
-class SingularNetworkError(MilacError, ValueError):
-    """Admittance-to-scattering conversion hit an ill-conditioned system."""
-
-
 class NotRealizableError(MilacError, ValueError):
-    """Scattering matrix has no lossless reciprocal susceptance realization."""
-
-
-class ResidueTooLargeError(MilacError, ValueError):
-    """Recovered susceptance has a non-negligible imaginary or asymmetric part."""
-
-
-class NegativeEntryError(MilacError, ValueError):
-    """Diagonal gain matrix has a negative entry."""
+    """A network map has no well-conditioned result: the scattering matrix
+    has no lossless reciprocal susceptance realization, or I + j z0 B is
+    numerically singular."""
 
 
 class InconsistentSolutionError(MilacError, ValueError):
-    """Stored beamformer blocks disagree with the scattering matrices."""
+    """Results that must agree do not: a layer is not lossless reciprocal,
+    an objective history decreases, or two evaluations of one value
+    differ."""
 
 
-class DegenerateProjectionError(MilacError, ArithmeticError):
-    """Projection target is the zero matrix; the power sphere has no nearest point."""
+class NumericalError(MilacError, ArithmeticError):
+    """Iteration met a degenerate or non-finite value: a zero matrix or
+    channel column to scale onto the power sphere, or a NaN or infinite
+    objective."""
 
 
-class NonFiniteObjectiveError(MilacError, ArithmeticError):
-    """Objective became NaN or infinite during iteration."""
+def check_positive(name: str, value) -> float:
+    """value as a float; DimensionError unless it is finite and positive."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except (TypeError, OverflowError):  # not a real number, or past float range
+        ok = False
+    if not ok:
+        raise DimensionError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
-class DimensionTooLargeError(MilacError, ValueError):
-    """Problem too large for exhaustive search."""
-
-
-class MatrixFormatError(MilacError, ValueError):
-    """Text matrix file is malformed."""
+def check_count(name: str, value, minimum: int) -> int:
+    """value as an int; DimensionError unless it is an integer >= minimum."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+    if n < minimum:
+        raise DimensionError(f"{name} must be >= {minimum}, got {n}")
+    return n

@@ -26,7 +26,7 @@ import numpy as np
 
 from .baselines import solve_full_dim, zero_forcing
 from .channel import generate_rayleigh, reduce_channel
-from .errors import DimensionError, MilacError
+from .errors import DimensionError, MilacError, check_count, check_positive
 from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
@@ -64,11 +64,7 @@ def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
         Pt = float(sigma) ** 2 * 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         Pt = math.inf
-    if not (math.isfinite(Pt) and Pt > 0):
-        raise DimensionError(
-            f"SNR {snr_db} dB gives transmit power {Pt}; it must be finite and positive"
-        )
-    return Pt
+    return check_positive(f"transmit power at SNR {snr_db} dB", Pt)
 
 
 @dataclass(frozen=True)
@@ -95,21 +91,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DimensionError(f"mode must be one of {MODES}, got {self.mode!r}")
-        L_values = tuple(int(L) for L in self.L_values)
+        K = check_count("K", self.K, 1)
+        L_values = tuple(check_count(f"L for K={K}", L, K) for L in self.L_values)
         snr_values = tuple(float(s) for s in self.snr_db_values)
         if not L_values or not snr_values:
             raise DimensionError("sweep lists must be non-empty")
-        if self.trials < 1:
-            raise DimensionError(f"trials must be >= 1, got {self.trials}")
-        if self.K < 1:
-            raise DimensionError(f"K must be >= 1, got {self.K}")
-        for L in L_values:
-            if L < self.K:
-                raise DimensionError(f"L={L} is smaller than K={self.K}")
         for snr in snr_values:
             snr_to_power(snr)
+        object.__setattr__(self, "K", K)
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)
+        object.__setattr__(self, "trials", check_count("trials", self.trials, 1))
 
 
 @dataclass(frozen=True)
@@ -261,9 +253,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise DimensionError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise DimensionError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
-    return n
+    return check_count(WORKERS_ENV, n, 1)
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepResult:

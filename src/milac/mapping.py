@@ -25,11 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .errors import (
-    DimensionError,
-    InconsistentSolutionError,
-    NegativeEntryError,
-)
+from .errors import DimensionError, InconsistentSolutionError, check_positive
 from .network import FactoredScattering, ScatteringMatrix, check_lossless_reciprocal
 
 SCATTER_TOL = 1e-10
@@ -50,8 +46,7 @@ class DigitalBeamformer:
             raise DimensionError(f"need L >= K, got shape {Pd.shape}")
         if not np.all(np.isfinite(Pd)):
             raise DimensionError("Pd has non-finite entries")
-        if not (np.isfinite(self.Pt) and self.Pt > 0):
-            raise DimensionError(f"Pt must be positive, got {self.Pt}")
+        object.__setattr__(self, "Pt", check_positive("Pt", self.Pt))
         radiated = float(np.sum(np.abs(Pd) ** 2))
         if radiated > self.Pt * (1 + 1e-9):
             raise DimensionError(
@@ -154,41 +149,36 @@ class TwoLayerSolution:
         return self.W @ (self.Psqrt @ self.F)
 
 
-def _check_diag_nonneg(S, K: int = None) -> np.ndarray:
+def _check_diag_nonneg(S, K: int) -> np.ndarray:
     S = np.asarray(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError(f"gain matrix must be square, got shape {S.shape}")
-    if K is not None and S.shape[0] != K:
+    if S.shape[0] != K:
         raise DimensionError(f"gain matrix must be {K} x {K}, got {S.shape}")
     if not np.isfinite(S).all():
         raise DimensionError("gain matrix has non-finite entries")
     if np.iscomplexobj(S):
         if np.max(np.abs(S.imag)) > 1e-12:
-            raise NegativeEntryError("gain matrix must be real")
+            raise DimensionError("gain matrix must be real")
         S = S.real
     d = S.diagonal().astype(float)
     if np.count_nonzero(S) != np.count_nonzero(d):
         raise DimensionError("gain matrix must be diagonal")
     if (d < 0).any():
-        raise NegativeEntryError(f"negative amplifier gain: min {d.min():.6g}")
+        raise DimensionError(f"negative amplifier gain: min {d.min():.6g}")
     return np.diag(d)
 
 
-def power_step(S, p_amp: float) -> np.ndarray:
-    """Optimal diagonal amplifier amplitudes for target singular values S.
-
-    Minimizes ||S - P^(1/2)/4||_F^2 over nonnegative diagonal P^(1/2) with
-    trace(P) <= p_amp. The unconstrained optimum is 4S; when its power
-    trace(16 S^2) exceeds the budget the whole diagonal is scaled down by
-    sqrt(p_amp / trace(16 S^2)).
-    """
-    return np.diag(_amplitudes(np.diag(_check_diag_nonneg(S)), p_amp))
-
-
 def _amplitudes(s: np.ndarray, p_amp: float) -> np.ndarray:
-    # power_step on the diagonal s, already known to be real and nonnegative
-    if not (np.isfinite(p_amp) and p_amp > 0):
-        raise DimensionError(f"p_amp must be positive, got {p_amp}")
+    """Optimal amplifier amplitudes for the singular values s (real and
+    nonnegative).
+
+    Minimizes ||diag(s) - P^(1/2)/4||_F^2 over nonnegative diagonal P^(1/2)
+    with trace(P) <= p_amp. The unconstrained optimum is 4s; when its power
+    sum(16 s^2) exceeds the budget the whole diagonal is scaled down by
+    sqrt(p_amp / sum(16 s^2)).
+    """
+    check_positive("p_amp", p_amp)
     gain = 4.0 * s
     used = float(np.sum(gain ** 2))
     if used > p_amp:
@@ -253,11 +243,6 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
                             Phi=_second_layer(V, tau, Ur),
                             Psqrt=np.diag(_amplitudes(s, budget)))
-
-
-def effective_beamformer(sol: TwoLayerSolution) -> np.ndarray:
-    """End-to-end beamformer W Psqrt F of a two-layer solution (sol.G)."""
-    return sol.G
 
 
 def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1e-10) -> PhiFeasibilityReport:

@@ -12,13 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    AsymmetricComponentError,
-    DimensionError,
-    NotRealizableError,
-    ResidueTooLargeError,
-    SingularNetworkError,
-)
+from .errors import DimensionError, NotRealizableError, check_count, check_positive
 
 COND_LIMIT = 1e12
 RESIDUE_TOL = 1e-8
@@ -32,8 +26,7 @@ class ReferenceImpedance:
     z0: float = 50.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.z0) and self.z0 > 0):
-            raise DimensionError(f"z0 must be positive and finite, got {self.z0}")
+        object.__setattr__(self, "z0", check_positive("z0", self.z0))
 
     @property
     def y0(self) -> float:
@@ -63,12 +56,12 @@ class SusceptanceMatrix:
         B = _square(self.B, "B")
         if np.iscomplexobj(B):
             if np.max(np.abs(B.imag)) > RESIDUE_TOL * max(1.0, np.max(np.abs(B.real))):
-                raise ResidueTooLargeError("susceptance matrix must be real")
+                raise DimensionError("susceptance matrix must be real")
             B = B.real
         B = B.astype(float, copy=True)
         scale = max(1.0, np.max(np.abs(B)))
         if np.max(np.abs(B - B.T)) > RESIDUE_TOL * scale:
-            raise AsymmetricComponentError("susceptance matrix must be symmetric")
+            raise DimensionError("susceptance matrix must be symmetric")
         B = (B + B.T) / 2.0
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
@@ -76,22 +69,6 @@ class SusceptanceMatrix:
     @property
     def n(self) -> int:
         return self.B.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class AdmittanceMatrix:
-    """Admittance matrix of an N-port network (complex, siemens)."""
-
-    Y: np.ndarray
-
-    def __post_init__(self):
-        Y = _square(self.Y, "Y").astype(np.complex128, copy=True)
-        Y.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,18 +168,19 @@ class LosslessReciprocalReport:
     passed: bool
 
 
-def admittance_from_components(offdiag, ground, n: int) -> AdmittanceMatrix:
-    """Assemble an N-port admittance matrix from component admittances.
+def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
+    """Assemble an N-port admittance matrix (complex, siemens) from
+    component admittances, returned read-only.
 
     offdiag maps port pairs (i, v), 0-based with i != v, to the admittance
     of the component connected between those ports; giving both (i, v) and
     (v, i) is allowed when the values agree. ground maps a port to the
     admittance of its component to ground. Missing entries mean no
     component. The assembled matrix has [Y]_iv = -Y_iv off the diagonal and
-    column sums (ground included) on the diagonal.
+    column sums (ground included) on the diagonal. Non-finite component
+    values raise DimensionError.
     """
-    if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
+    n = check_count("n", n, 1)
     comp = np.zeros((n, n), dtype=np.complex128)
     filled = np.zeros((n, n), dtype=bool)
     for key, y in offdiag.items():
@@ -215,7 +193,7 @@ def admittance_from_components(offdiag, ground, n: int) -> AdmittanceMatrix:
             )
         y = complex(y)
         if filled[i, v] and not np.isclose(comp[i, v], y, rtol=1e-12, atol=0.0):
-            raise AsymmetricComponentError(
+            raise DimensionError(
                 f"components ({i},{v}) and ({v},{i}) disagree: {comp[i, v]} vs {y}"
             )
         comp[i, v] = comp[v, i] = y
@@ -228,14 +206,17 @@ def admittance_from_components(offdiag, ground, n: int) -> AdmittanceMatrix:
     Y = -comp
     # diagonal: total admittance incident on the port, ground included
     Y[np.diag_indices(n)] = comp.sum(axis=0) + gnd
-    return AdmittanceMatrix(Y=Y)
+    if not np.isfinite(Y).all():
+        raise DimensionError("Y has non-finite entries")
+    Y.setflags(write=False)
+    return Y
 
 
 def scattering_from_susceptance(B, zref: ReferenceImpedance = ReferenceImpedance()) -> ScatteringMatrix:
     """Scattering matrix of the susceptive network Y = jB.
 
     Computes S = (I + j z0 B)^(-1) (I - j z0 B). The result is unitary and
-    symmetric up to rounding. Raises SingularNetworkError when I + j z0 B is
+    symmetric up to rounding. Raises NotRealizableError when I + j z0 B is
     ill-conditioned (condition number at or above COND_LIMIT).
     """
     if not isinstance(B, SusceptanceMatrix):
@@ -243,7 +224,7 @@ def scattering_from_susceptance(B, zref: ReferenceImpedance = ReferenceImpedance
     M = 1j * zref.z0 * B.B
     A = np.eye(B.n) + M
     if np.linalg.cond(A) >= COND_LIMIT:
-        raise SingularNetworkError("I + j z0 B is numerically singular")
+        raise NotRealizableError("I + j z0 B is numerically singular")
     S = np.linalg.solve(A, np.eye(B.n) - M)
     return ScatteringMatrix(S=S)
 
@@ -251,11 +232,11 @@ def scattering_from_susceptance(B, zref: ReferenceImpedance = ReferenceImpedance
 def susceptance_from_scattering(S: ScatteringMatrix, zref: ReferenceImpedance = ReferenceImpedance()) -> SusceptanceMatrix:
     """Recover the real symmetric B with S = (I + j z0 B)^(-1)(I - j z0 B).
 
-    The input must be lossless and reciprocal to within RESIDUE_TOL; a
+    The input must be lossless and reciprocal to within RESIDUE_TOL, and a
     scattering matrix with an eigenvalue at -1 (I + S singular) has no
-    susceptance realization and raises NotRealizableError. The computed
-    matrix is returned real and exactly symmetric after discarding rounding
-    residue, which must stay below RESIDUE_TOL.
+    susceptance realization. The computed matrix is returned real and
+    exactly symmetric after discarding rounding residue, which must stay
+    below RESIDUE_TOL. Each of these failures raises NotRealizableError.
     """
     if not isinstance(S, (ScatteringMatrix, FactoredScattering)):
         S = ScatteringMatrix(S=np.asarray(S))
@@ -272,10 +253,10 @@ def susceptance_from_scattering(S: ScatteringMatrix, zref: ReferenceImpedance = 
     Braw = np.linalg.solve(A, np.eye(S.n) - S.S) / (1j * zref.z0)
     scale = max(1.0, np.max(np.abs(Braw)))
     if np.max(np.abs(Braw.imag)) > RESIDUE_TOL * scale:
-        raise ResidueTooLargeError("recovered susceptance has a large imaginary part")
+        raise NotRealizableError("recovered susceptance has a large imaginary part")
     Breal = Braw.real
     if np.max(np.abs(Breal - Breal.T)) > RESIDUE_TOL * scale:
-        raise ResidueTooLargeError("recovered susceptance has a large asymmetric part")
+        raise NotRealizableError("recovered susceptance has a large asymmetric part")
     return SusceptanceMatrix(B=(Breal + Breal.T) / 2.0)
 
 
@@ -322,8 +303,7 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
 
     tol must be positive and finite; passed is both residuals <= tol.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise DimensionError(f"tol must be positive and finite, got {tol}")
+    check_positive("tol", tol)
     if isinstance(S, FactoredScattering):
         uni = _factored_unitarity(S.V, S.T, S.Ur)
         return LosslessReciprocalReport(

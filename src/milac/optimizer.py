@@ -15,7 +15,6 @@ and the precoder variable matches its shape.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -23,10 +22,11 @@ import numpy as np
 
 from .channel import ChannelSet, ReducedChannel, reduce_channel
 from .errors import (
-    DegenerateProjectionError,
     DimensionError,
     InconsistentSolutionError,
-    NonFiniteObjectiveError,
+    NumericalError,
+    check_count,
+    check_positive,
 )
 from .mapping import DigitalBeamformer, TwoLayerSolution, map_digital_to_milac
 
@@ -52,19 +52,9 @@ class SolverConfig:
     max_outer: int = 500
 
     def __post_init__(self):
-        if not (np.isfinite(self.Pt) and self.Pt > 0):
-            raise DimensionError(f"Pt must be positive, got {self.Pt}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise DimensionError(f"eps must be positive and finite, got {self.eps}")
-        try:
-            max_outer = operator.index(self.max_outer)
-        except TypeError:
-            raise DimensionError(
-                f"max_outer must be an integer, got {self.max_outer!r}"
-            ) from None
-        if max_outer < 1:
-            raise DimensionError("max_outer must be >= 1")
-        object.__setattr__(self, "max_outer", max_outer)
+        object.__setattr__(self, "Pt", check_positive("Pt", self.Pt))
+        object.__setattr__(self, "eps", check_positive("eps", self.eps))
+        object.__setattr__(self, "max_outer", check_count("max_outer", self.max_outer, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +97,10 @@ def _validate_link(H, Pmat, sigma):
         )
     if sigma.shape != (K,):
         raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
+    # on Python floats: this runs several times per solve, where two numpy
+    # reductions would cost several times more
+    if not all(0.0 < x < math.inf for x in sigma.tolist()):
+        raise DimensionError("sigma entries must be positive and finite")
     return H, Pmat, sigma
 
 
@@ -130,17 +124,9 @@ def _rate(alpha) -> float:
     return float((np.log1p(alpha) / LN2).sum())
 
 
-def sinr(H, Pmat, sigma, k: int) -> float:
-    """SINR of user k: |h_k^H p_k|^2 over interference plus sigma_k^2."""
-    H, Pmat, sigma = _validate_link(H, Pmat, sigma)
-    K = H.shape[1]
-    if not (0 <= k < K):
-        raise IndexError(f"user index {k} out of range for K={K}")
-    return float(_sinr(H.conj().T @ Pmat, sigma**2)[0][k])
-
-
 def user_rates(H, Pmat, sigma) -> np.ndarray:
-    """Per-user rates log2(1 + SINR_k) in bits."""
+    """Per-user rates log2(1 + SINR_k) in bits, SINR_k being
+    |h_k^H p_k|^2 over the interference plus sigma_k^2."""
     H, Pmat, sigma = _validate_link(H, Pmat, sigma)
     return np.log1p(_sinr(H.conj().T @ Pmat, sigma**2)[0]) / LN2
 
@@ -195,7 +181,7 @@ def project_power(X, Pt: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.complex128)
     nrm2 = float((np.abs(X) ** 2).sum())
     if nrm2 == 0.0:
-        raise DegenerateProjectionError("cannot project the zero matrix onto the power sphere")
+        raise NumericalError("cannot project the zero matrix onto the power sphere")
     return X * math.sqrt(Pt / nrm2)
 
 
@@ -275,7 +261,7 @@ def matched_filter_init(Heff, Pt: float) -> np.ndarray:
         raise DimensionError(f"Heff must be 2-D, got shape {Heff.shape}")
     norms = np.linalg.norm(Heff, axis=0)
     if np.any(norms == 0):
-        raise DegenerateProjectionError("matched-filter init undefined for a zero channel column")
+        raise NumericalError("matched-filter init undefined for a zero channel column")
     K = Heff.shape[1]
     return np.sqrt(Pt / K) * (Heff / norms[None, :])
 
@@ -320,7 +306,7 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
         alpha, root, beta = _auxiliaries(Hh @ T, noise)
         rate = _rate(alpha)
         if not math.isfinite(rate):
-            raise NonFiniteObjectiveError(f"objective became {rate} at iteration {it}")
+            raise NumericalError(f"objective became {rate} at iteration {it}")
         prev = history[-1]
         history.append(rate)
         iterations = it

@@ -6,7 +6,6 @@ import pytest
 from milac import (
     ChannelSet,
     DimensionError,
-    DimensionTooLargeError,
     OracleConfig,
     RankDeficientError,
     SolverConfig,
@@ -105,6 +104,25 @@ def test_oracle_config_validation():
         OracleConfig(polish_steps=-1)
     with pytest.raises(DimensionError):
         OracleConfig(step_size=0.0)
+    for count in (2.5, 2.0, np.nan, "3"):
+        with pytest.raises(DimensionError, match="samples must be an integer"):
+            OracleConfig(samples=count)
+        with pytest.raises(DimensionError, match="polish_steps must be an integer"):
+            OracleConfig(polish_steps=count)
+    for step in (-0.25, np.nan, np.inf):
+        with pytest.raises(DimensionError, match="step_size must be finite and positive"):
+            OracleConfig(step_size=step)
+    cfg = OracleConfig(samples=np.int64(7), polish_steps=np.int32(0))
+    assert (cfg.samples, cfg.polish_steps) == (7, 0) and type(cfg.samples) is int
+
+
+@pytest.mark.parametrize("Pt", [0.0, -1.0, np.nan, np.inf])
+def test_baselines_reject_bad_power(Pt):
+    # rejected on entry, before a zero, NaN or warning-raising precoder
+    with pytest.raises(DimensionError, match="Pt must be finite and positive"):
+        zero_forcing(generate_rayleigh(4, 2, seed=0), Pt)
+    with pytest.raises(DimensionError, match="Pt must be finite and positive"):
+        brute_force_oracle(generate_rayleigh(2, 1, seed=0), Pt, OracleConfig(samples=10))
 
 
 def test_oracle_single_user_closed_form():
@@ -186,7 +204,7 @@ def test_oracle_matches_direct_search(seed):
 
 def test_oracle_dimension_guard():
     ch = generate_rayleigh(3, 2, seed=0)
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(DimensionError, match="limit is 8"):
         brute_force_oracle(ch, 1.0, OracleConfig(samples=10))
 
 

@@ -64,7 +64,7 @@ def test_reduce_identity():
     ch = ChannelSet(H=np.eye(2, dtype=complex))
     red = reduce_channel(ch)
     assert np.allclose(red.Q, np.eye(2), atol=1e-12)
-    assert np.allclose(red.Sigma, np.eye(2), atol=1e-12)
+    assert np.allclose(np.linalg.svd(red.Hbar, compute_uv=False), [1.0, 1.0], atol=1e-12)
     assert np.allclose(red.Hbar, np.eye(2), atol=1e-12)
 
 
@@ -72,20 +72,25 @@ def test_reduce_axis_aligned_column():
     ch = ChannelSet(H=np.array([[2.0 + 0j], [0.0]]))
     red = reduce_channel(ch)
     assert np.allclose(red.Q, np.array([[1.0], [0.0]]), atol=1e-12)
-    assert np.allclose(red.Sigma, np.array([[2.0]]), atol=1e-12)
+    assert np.allclose(np.linalg.svd(red.Hbar, compute_uv=False), [2.0], atol=1e-12)
     assert np.allclose(red.Hbar, np.array([[2.0]]), atol=1e-12)
 
 
 def test_reduce_reconstruction_random():
     ch = generate_rayleigh(8, 3, seed=11)
     red = reduce_channel(ch)
-    rebuilt = red.Q @ red.Sigma @ red.R.conj().T
+    rebuilt = red.Q @ red.Hbar
     err = np.linalg.norm(rebuilt - ch.H) / np.linalg.norm(ch.H)
     assert err <= 1e-10
     assert np.allclose(red.Q.conj().T @ red.Q, np.eye(3), atol=1e-10)
-    s = np.diag(red.Sigma)
-    assert np.all(np.diff(s) <= 0)
     assert np.array_equal(red.Hbar, red.Q.conj().T @ ch.H)
+    # Hbar = Sigma R^H: orthogonal rows whose norms are the singular values
+    # of H in descending order
+    gram = red.Hbar @ red.Hbar.conj().T
+    s = np.sqrt(np.diag(gram).real)
+    assert np.allclose(gram, np.diag(s**2), atol=1e-10)
+    assert np.allclose(s, np.linalg.svd(ch.H, compute_uv=False), rtol=1e-12)
+    assert np.all(np.diff(s) <= 0)
 
 
 def test_reduce_gram_preserved():
@@ -110,15 +115,13 @@ def test_reduce_phase_canonical():
 
 def reference_reduction(H):
     """reduce_channel's phase gauge as the per-column loop it replaced."""
-    Q, s, Rh = np.linalg.svd(H, full_matrices=False)
+    Q = np.linalg.svd(H, full_matrices=False)[0]
     for j in range(Q.shape[1]):
         i0 = np.flatnonzero(Q[:, j] != 0)[0]
         z = Q[i0, j]
-        phase = z / abs(z)
-        Q[:, j] *= phase.conjugate()
+        Q[:, j] *= (z / abs(z)).conjugate()
         Q[i0, j] = abs(z)
-        Rh[j, :] *= phase
-    return Q, Rh.conj().T, Q.conj().T @ H
+    return Q, Q.conj().T @ H
 
 
 def test_reduce_matches_loop_reference():
@@ -130,7 +133,7 @@ def test_reduce_matches_loop_reference():
                  for seed in range(5)]
     for ch in channels:
         red = reduce_channel(ch)
-        for got, want in zip((red.Q, red.R, red.Hbar), reference_reduction(ch.H)):
+        for got, want in zip((red.Q, red.Hbar), reference_reduction(ch.H)):
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * scale
 
@@ -174,7 +177,7 @@ def test_reduction_invariants_property(L, K, seed):
     ch = generate_rayleigh(L, K, seed=seed)
     red = reduce_channel(ch)
     assert np.allclose(red.Q.conj().T @ red.Q, np.eye(K), atol=1e-10)
-    rebuilt = red.Q @ red.Sigma @ red.R.conj().T
+    rebuilt = red.Q @ red.Hbar
     assert np.linalg.norm(rebuilt - ch.H) <= 1e-10 * np.linalg.norm(ch.H)
     g_err = np.linalg.norm(red.Hbar.conj().T @ red.Hbar - ch.H.conj().T @ ch.H)
     assert g_err <= 1e-9 * max(1.0, np.linalg.norm(ch.H) ** 2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from milac import (
-    AdmittanceMatrix,
     ChannelSet,
     DigitalBeamformer,
     ScatteringMatrix,
@@ -28,7 +27,7 @@ FACTORIES = {
     "TwoLayerSolution": lambda: map_digital_to_milac(_beamformer()),
     "ScatteringMatrix": lambda: ScatteringMatrix(S=np.eye(2)),
     "SusceptanceMatrix": lambda: SusceptanceMatrix(B=np.eye(2)),
-    "AdmittanceMatrix": lambda: AdmittanceMatrix(Y=np.eye(2)),
+    "FactoredScattering": lambda: map_digital_to_milac(_beamformer()).Phi,
     "SolveReport": lambda: solve_psla(reduce_channel(generate_rayleigh(4, 2, seed=0)),
                                       SolverConfig(Pt=10.0)),
 }

@@ -68,6 +68,16 @@ def test_spec_validation():
         ExperimentSpec(mode="snr_sweep", trials=0)
     with pytest.raises(DimensionError):
         ExperimentSpec(mode="snr_sweep", L_values=(2,), K=4)
+    # counts must be integers: a fractional one is refused, not truncated
+    for kw, name in ((dict(L_values=(32.7,)), "L"), (dict(L_values=(np.nan,)), "L"),
+                     (dict(trials=2.5), "trials"), (dict(trials="3"), "trials"),
+                     (dict(K=2.5), "K"), (dict(K=4.0), "K")):
+        with pytest.raises(DimensionError, match=f"^{name}.* must be an integer"):
+            ExperimentSpec(mode="snr_sweep", **kw)
+    spec = ExperimentSpec(mode="snr_sweep", L_values=(np.int64(8),), K=np.int32(2),
+                          trials=np.int16(3))
+    assert (spec.L_values, spec.K, spec.trials) == ((8,), 2, 3)
+    assert all(type(v) is int for v in (*spec.L_values, spec.K, spec.trials))
     # each SNR point must give a finite positive Pt = 10^(snr/10)
     for snr in (np.nan, np.inf, -np.inf, 4000.0, -4000.0):
         with pytest.raises(DimensionError):

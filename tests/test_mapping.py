@@ -13,15 +13,12 @@ from milac import (
     DimensionError,
     FactoredScattering,
     InconsistentSolutionError,
-    NegativeEntryError,
     ScatteringMatrix,
     TwoLayerSolution,
     check_lossless_reciprocal,
-    effective_beamformer,
     generate_rayleigh,
     load_solution,
     map_digital_to_milac,
-    power_step,
     save_matrix,
     save_solution,
     sum_rate,
@@ -106,23 +103,26 @@ def test_dimension_error_wide_input():
 def test_power_violation_rejected():
     with pytest.raises(DimensionError):
         DigitalBeamformer(Pd=np.eye(2, dtype=complex) * 10, Pt=1.0)
+    for Pt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DimensionError, match="Pt must be finite and positive"):
+            DigitalBeamformer(Pd=np.zeros((2, 2)), Pt=Pt)
 
 
 def test_effective_beamformer_identity():
     sol = map_digital_to_milac(DigitalBeamformer(Pd=np.eye(2, dtype=complex), Pt=2.0))
-    assert np.allclose(effective_beamformer(sol), np.eye(2), atol=1e-12)
+    assert np.allclose(sol.G, np.eye(2), atol=1e-12)
 
 
 def test_effective_beamformer_zero_gains():
     sol = map_digital_to_milac(DigitalBeamformer(Pd=np.eye(2, dtype=complex), Pt=2.0))
     dead = dataclasses.replace(sol, Psqrt=np.zeros((2, 2)))
-    assert np.allclose(effective_beamformer(dead), 0.0, atol=0)
+    assert np.allclose(dead.G, 0.0, atol=0)
 
 
 def test_effective_beamformer_matches_input():
     d = random_beamformer(5, 2, Pt=1.0, seed=13)
     sol = map_digital_to_milac(d)
-    assert np.allclose(effective_beamformer(sol), d.Pd, atol=1e-10)
+    assert np.allclose(sol.G, d.Pd, atol=1e-10)
 
 
 def test_phi_feasibility_both_signs():
@@ -155,15 +155,25 @@ def test_phi_feasibility_rejects_identity_block():
 
 
 def test_power_step_cases():
-    out = power_step(np.diag([1.0, 0.5]), p_amp=16 * 1.25)
-    assert np.allclose(out, np.diag([4.0, 2.0]), atol=1e-12)
-    out = power_step(np.diag([1.0]), p_amp=4.0)
-    assert np.allclose(out, np.diag([2.0]), atol=1e-12)
-    assert np.allclose(power_step(np.zeros((2, 2)), p_amp=1.0), 0.0, atol=0)
-    with pytest.raises(NegativeEntryError):
-        power_step(np.diag([-1.0]), p_amp=1.0)
-    with pytest.raises(NegativeEntryError):
-        power_step(np.diag([1.0 + 1e-3j]), p_amp=1.0)
+    # gains are 4 S while their power 16 trace(S^2) fits the budget, and
+    # are scaled down uniformly onto it otherwise
+    d = DigitalBeamformer(Pd=np.diag([1.0, 0.5]), Pt=1.25)
+    for budget in (None, 16 * 1.25):
+        sol = map_digital_to_milac(d, amp_budget=budget)
+        assert np.allclose(sol.Psqrt, np.diag([4.0, 2.0]), atol=1e-12)
+    one = DigitalBeamformer(Pd=np.eye(1), Pt=1.0)
+    assert np.allclose(map_digital_to_milac(one, amp_budget=4.0).Psqrt, [[2.0]], atol=1e-12)
+    zero = DigitalBeamformer(Pd=np.zeros((2, 2)), Pt=1.0)
+    assert np.allclose(map_digital_to_milac(zero, amp_budget=1.0).Psqrt, 0.0, atol=0)
+    for budget in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DimensionError, match="p_amp must be finite and positive"):
+            map_digital_to_milac(one, amp_budget=budget)
+    # stored gains must be real and nonnegative
+    sol = map_digital_to_milac(one)
+    with pytest.raises(DimensionError, match="negative amplifier gain"):
+        TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=np.diag([-1.0]))
+    with pytest.raises(DimensionError, match="must be real"):
+        TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=np.diag([1.0 + 1e-3j]))
 
 
 def test_sum_rate_invariance():
@@ -464,9 +474,7 @@ def test_gains_must_be_finite():
         gains[1, 1] = bad
         with pytest.raises(DimensionError, match="non-finite"):
             TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=gains)
-        with pytest.raises(DimensionError, match="non-finite"):
-            power_step(gains, p_amp=1.0)
     off = np.array(sol.Psqrt)
     off[0, 1] = np.inf
     with pytest.raises(DimensionError, match="non-finite"):
-        power_step(off, p_amp=1.0)
+        TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=off)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milac import MatrixFormatError, load_matrix, save_matrix
+from milac import DimensionError, load_matrix, save_matrix
 from milac.matio import format_complex
 
 
@@ -45,12 +45,18 @@ def test_header_shape(tmp_path):
     "1 2\n1+0j\n",                   # short row
     "1 1\nnot-a-number\n",           # bad token
     "x y\n",                         # bad header
+    "1 2 3\n1+0j 2+0j\n",            # header with three fields
 ])
 def test_malformed_input_raises(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(MatrixFormatError):
+    with pytest.raises(DimensionError):
         load_matrix(path)
+
+
+def test_save_rejects_non_matrix(tmp_path):
+    with pytest.raises(DimensionError, match="2-D"):
+        save_matrix(tmp_path / "v.txt", np.ones(3))
 
 
 complex_entries = st.complex_numbers(

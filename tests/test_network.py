@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from milac import (
-    AsymmetricComponentError,
     DigitalBeamformer,
     DimensionError,
     FactoredScattering,
     NotRealizableError,
     ReferenceImpedance,
     ScatteringMatrix,
-    SingularNetworkError,
     SusceptanceMatrix,
     admittance_from_components,
     beamformer_from_scattering,
@@ -36,13 +34,16 @@ def random_susceptance(n, seed, scale=1.0):
 def test_reference_impedance():
     assert Z0.z0 == 50.0
     assert Z0.y0 == pytest.approx(1 / 50.0)
-    with pytest.raises(DimensionError):
-        ReferenceImpedance(z0=0.0)
+    for z0 in (0.0, -50.0, np.nan, np.inf):
+        with pytest.raises(DimensionError, match="z0 must be finite and positive"):
+            ReferenceImpedance(z0=z0)
 
 
 def test_susceptance_requires_symmetry():
-    with pytest.raises(AsymmetricComponentError):
+    with pytest.raises(DimensionError, match="must be symmetric"):
         SusceptanceMatrix(B=np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(DimensionError, match="must be real"):
+        SusceptanceMatrix(B=1j * np.eye(2))
     # storage symmetrizes tiny residue exactly
     eps = 1e-12
     B = SusceptanceMatrix(B=np.array([[0.0, 1.0 + eps], [1.0, 0.0]])).B
@@ -51,24 +52,33 @@ def test_susceptance_requires_symmetry():
 
 def test_admittance_all_zero():
     Y = admittance_from_components({}, {}, 2)
-    assert np.array_equal(Y.Y, np.zeros((2, 2), dtype=complex))
+    assert np.array_equal(Y, np.zeros((2, 2), dtype=complex))
+    assert Y.dtype == np.complex128 and not Y.flags.writeable
 
 
 def test_admittance_single_interconnection():
     # one susceptive component between ports 0 and 1, no grounds
     Y = admittance_from_components({(0, 1): 1j, (1, 0): 1j}, {}, 2)
     expected = np.array([[1j, -1j], [-1j, 1j]])
-    assert np.allclose(Y.Y, expected, atol=0)
+    assert np.allclose(Y, expected, atol=0)
 
 
 def test_admittance_grounds_only():
     Y = admittance_from_components({}, {0: 1j, 1: 1j}, 2)
-    assert np.allclose(Y.Y, 1j * np.eye(2), atol=0)
+    assert np.allclose(Y, 1j * np.eye(2), atol=0)
 
 
 def test_admittance_errors():
-    with pytest.raises(AsymmetricComponentError):
+    with pytest.raises(DimensionError, match="disagree"):
         admittance_from_components({(0, 1): 1j, (1, 0): 2j}, {}, 2)
+    for n in (0, 2.5, "2"):
+        with pytest.raises(DimensionError, match="^n must be"):
+            admittance_from_components({}, {}, n)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(DimensionError, match="non-finite"):
+            admittance_from_components({(0, 1): bad}, {}, 2)
+        with pytest.raises(DimensionError, match="non-finite"):
+            admittance_from_components({}, {1: bad}, 2)
     with pytest.raises(DimensionError):
         admittance_from_components({(0, 2): 1j}, {}, 2)
     with pytest.raises(DimensionError):
@@ -117,6 +127,20 @@ def test_susceptance_rejects_lossy():
     S = ScatteringMatrix(S=0.5 * np.eye(2, dtype=complex))
     with pytest.raises(NotRealizableError):
         susceptance_from_scattering(S)
+
+
+def test_susceptance_rejects_large_residue():
+    # both inputs pass the lossless-reciprocal check at RESIDUE_TOL, but I + S
+    # is close enough to singular to amplify their residue past it
+    lossy = np.array([[(1 - 4e-9) * np.exp(1j * (np.pi - 0.01))]])
+    with pytest.raises(NotRealizableError, match="large imaginary part"):
+        susceptance_from_scattering(lossy)
+    s = np.exp(1j * (np.pi - np.array([0.05, 0.075])))
+    skew = np.diag(s)
+    skew[0, 1] = 8e-7j * (1 + s[0]) * (1 + s[1])
+    skew[1, 0] = -skew[0, 1]
+    with pytest.raises(NotRealizableError, match="large asymmetric part"):
+        susceptance_from_scattering(skew)
 
 
 def test_cayley_round_trip():
@@ -286,7 +310,7 @@ def test_check_lossless_reciprocal_sees_every_entry():
 def test_singular_network_guard():
     # cond(I + jZ0 B) blows past the limit when susceptances span 12 decades
     B = SusceptanceMatrix(B=np.diag([1e11, 0.0]))
-    with pytest.raises(SingularNetworkError):
+    with pytest.raises(NotRealizableError, match="numerically singular"):
         scattering_from_susceptance(B)
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milac import (
-    DegenerateProjectionError,
     DimensionError,
     InconsistentSolutionError,
+    NumericalError,
     SolveReport,
     SolverConfig,
     check_lossless_reciprocal,
@@ -18,7 +18,6 @@ from milac import (
     matched_filter_init,
     random_init,
     reduce_channel,
-    sinr,
     solve_psla,
     solve_two_layer,
     sum_rate,
@@ -27,6 +26,7 @@ from milac import (
     update_alpha_beta,
     user_rates,
 )
+import milac.optimizer
 from milac.optimizer import _power_multiplier, project_power, report_record, run_fp
 
 
@@ -39,16 +39,20 @@ def random_point(Hbar, sigma, Pt, seed):
 
 # ---------------------------------------------------------------- rates
 
+def sinrs(H, P, sigma):
+    """Per-user SINRs read back from the rates, 2^rate - 1."""
+    return np.exp2(user_rates(H, P, sigma)) - 1.0
+
+
 def test_sinr_orthogonal_unit_power():
     H = np.eye(2, dtype=complex)
-    assert sinr(H, H, np.ones(2), 0) == pytest.approx(1.0)
-    assert sinr(H, H, np.ones(2), 1) == pytest.approx(1.0)
+    assert sinrs(H, H, np.ones(2)) == pytest.approx([1.0, 1.0])
 
 
 def test_sinr_single_user():
     h = np.array([[1.0 + 0j], [0.0]])
     p = np.array([[np.sqrt(10) + 0j], [0.0]])
-    assert sinr(h, p, np.ones(1), 0) == pytest.approx(10.0)
+    assert sinrs(h, p, np.ones(1)) == pytest.approx([10.0])
 
 
 def test_sinr_interference_hand_computed():
@@ -56,14 +60,7 @@ def test_sinr_interference_hand_computed():
     H = np.array([[1, 1], [1, -1]], dtype=complex)
     P = np.array([[1, 1], [0, 1]], dtype=complex)
     # desired |h1^H p1|^2 = 1, interference |h1^H p2|^2 = 4, noise 1
-    assert sinr(H, P, np.ones(2), 0) == pytest.approx(1.0 / 5.0)
-    assert sinr(H, P, np.ones(2), 1) == pytest.approx(0.0)
-
-
-def test_sinr_index_error():
-    H = np.eye(2, dtype=complex)
-    with pytest.raises(IndexError):
-        sinr(H, H, np.ones(2), 2)
+    assert sinrs(H, P, np.ones(2)) == pytest.approx([1.0 / 5.0, 0.0])
 
 
 def test_sum_rate_identity():
@@ -79,13 +76,13 @@ def test_sum_rate_zero_precoder():
 def test_sum_rate_compositional():
     ch = generate_rayleigh(6, 3, seed=4)
     P = random_init((6, 3), 5.0, seed=1)
-    total = sum(sinr(ch.H, P, ch.sigma, k) for k in range(3))
     per_user = user_rates(ch.H, P, ch.sigma)
     assert sum_rate(ch.H, P, ch.sigma) == pytest.approx(float(np.sum(per_user)))
-    assert np.sum(np.log2(1 + np.array(
-        [sinr(ch.H, P, ch.sigma, k) for k in range(3)]
-    ))) == pytest.approx(sum_rate(ch.H, P, ch.sigma))
-    assert total >= 0
+    # each rate is log2(1 + SINR) with the SINR formed from its definition
+    C = np.abs(ch.H.conj().T @ P) ** 2
+    gamma = np.diag(C) / (C.sum(axis=1) - np.diag(C) + ch.sigma**2)
+    assert per_user == pytest.approx(np.log2(1 + gamma), rel=1e-12)
+    assert np.all(gamma >= 0)
 
 
 def test_dimension_validation():
@@ -93,6 +90,22 @@ def test_dimension_validation():
         sum_rate(np.eye(2, dtype=complex), np.eye(3, dtype=complex), np.ones(2))
     with pytest.raises(DimensionError):
         sum_rate(np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.ones(3))
+
+
+@pytest.mark.parametrize("sigma", [[0.0, 0.0], [np.nan, 1.0], [-1.0, -1.0],
+                                   [1.0, np.inf], [1.0, -np.inf], [1.0, 0.0]])
+def test_rates_reject_bad_noise(sigma):
+    # every entry point behind the link check refuses a noise level that is
+    # not finite and positive instead of dividing by it
+    H = np.eye(2, dtype=complex)
+    sigma = np.array(sigma)
+    calls = (lambda: sum_rate(H, H, sigma), lambda: user_rates(H, H, sigma),
+             lambda: update_alpha_beta(H, H, sigma),
+             lambda: surrogate_value(H, H, sigma, np.ones(2), np.ones(2)),
+             lambda: run_fp(H, sigma, SolverConfig()))
+    for call in calls:
+        with pytest.raises(DimensionError, match="sigma"):
+            call()
 
 
 # ------------------------------------------------------- auxiliaries
@@ -161,7 +174,7 @@ def test_project_power():
     X = np.array([[3.0 + 4j]])
     out = project_power(X, Pt=4.0)
     assert np.sum(np.abs(out) ** 2) == pytest.approx(4.0)
-    with pytest.raises(DegenerateProjectionError):
+    with pytest.raises(NumericalError):
         project_power(np.zeros((2, 2)), Pt=1.0)
 
 
@@ -250,6 +263,8 @@ def test_matched_filter_init_on_sphere():
         cos = abs(np.vdot(ch.H[:, k], T0[:, k])) / (
             np.linalg.norm(ch.H[:, k]) * np.linalg.norm(T0[:, k]))
         assert cos == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NumericalError, match="zero channel column"):
+        matched_filter_init(np.eye(3, 2) * [1.0, 0.0], Pt=1.0)
 
 
 def test_random_init_deterministic():
@@ -268,9 +283,11 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(DimensionError):
         SolverConfig(max_outer=0)
-    for eps in (np.inf, -np.inf, np.nan, -1e-4):
-        with pytest.raises(DimensionError):
-            SolverConfig(eps=eps)
+    for bad in (np.inf, -np.inf, np.nan, -1e-4, "1"):
+        with pytest.raises(DimensionError, match="eps must be finite and positive"):
+            SolverConfig(eps=bad)
+        with pytest.raises(DimensionError, match="Pt must be finite and positive"):
+            SolverConfig(Pt=bad)
     for max_outer in (2.5, 2.0, np.nan, np.inf, "3"):
         with pytest.raises(DimensionError):
             SolverConfig(max_outer=max_outer)
@@ -465,6 +482,15 @@ def test_run_fp_validates_on_entry():
         run_fp(ch.H, np.ones(3), cfg)
     with pytest.raises(DimensionError):
         run_fp(ch.H[:, 0], ch.sigma, cfg)
+
+
+def test_run_fp_rejects_non_finite_objective(monkeypatch):
+    # a rate that turns NaN after the start point stops the solve
+    rates = iter([1.0, float("nan")])
+    monkeypatch.setattr(milac.optimizer, "_rate", lambda alpha: next(rates))
+    ch = generate_rayleigh(6, 2, seed=9)
+    with pytest.raises(NumericalError, match="objective became nan at iteration 1"):
+        run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
 
 
 def bisect_multiplier(e, w, Pt):
