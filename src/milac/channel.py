@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matio
-from .errors import DimensionError, RankDeficientError
+from .errors import DimensionError, RankDeficientError, check_count
 
 RANK_TOL = 1e-12
 
@@ -94,8 +94,8 @@ def generate_rayleigh(L: int, K: int, seed) -> ChannelSet:
     PCG64 generator constructed from `seed`). The same seed reproduces the
     same matrix on any platform. Noise levels default to sigma_k = 1.
     """
-    if not (L >= K >= 1):
-        raise DimensionError(f"need L >= K >= 1, got L={L}, K={K}")
+    K = check_count("K", K, 1)
+    L = check_count(f"L for K={K}", L, K)
     rng = np.random.default_rng(seed)
     H = (rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))) * np.sqrt(0.5)
     return ChannelSet(H=H)

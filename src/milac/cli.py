@@ -1,10 +1,12 @@
 """Command-line front end for the Monte-Carlo sweeps.
 
-Subcommands pick the experiment mode; every run writes results.csv,
-summary.csv, and solves.jsonl (convergence mode adds iterations.csv) into
---out. Defaults follow the simulation protocol (unit noise, 100 trials,
-tolerance 1e-4); a JSON config file can replace them and explicit flags
-override the file. MILAC_WORKERS sets the worker-pool size.
+Each subcommand runs one experiment mode (the mode name with "-" for "_")
+and writes results.csv, summary.csv and solves.jsonl (convergence mode
+adds iterations.csv) into --out. A setting comes from an explicit flag,
+else a JSON config file, else the mode's default (100 trials, tolerance
+1e-4). Values pass to ExperimentSpec and SolverConfig unchanged, and they
+alone check them, so a config file's counts and seed must be JSON
+integers. MILAC_WORKERS sets the worker-pool size.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ from .errors import MilacError
 from .harness import ExperimentSpec, run_experiment
 from .optimizer import SolverConfig
 
-COMMANDS = {
-    "convergence": "convergence",
-    "snr-sweep": "snr_sweep",
-    "antenna-sweep": "antenna_sweep",
-    "theorem-check": "theorem_check",
-}
-
-MODE_DEFAULTS = {
-    "convergence": {"L": [32], "K": 4, "snr_db": [0.0, 10.0, 20.0, 30.0]},
-    "snr_sweep": {"L": [32], "K": 4,
-                  "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]},
-    "antenna_sweep": {"L": [16, 32, 64, 128], "K": 8, "snr_db": [10.0]},
-    "theorem_check": {"L": [32], "K": 4, "snr_db": [0.0, 10.0, 20.0]},
+# mode -> (subcommand help, sweep defaults)
+SUBCOMMANDS = {
+    "convergence": ("record per-iteration objectives of the reduced solver",
+                    {"L": [32], "K": 4, "snr_db": [0.0, 10.0, 20.0, 30.0]}),
+    "snr_sweep": ("sum-rate of all architectures across transmit SNR",
+                  {"L": [32], "K": 4,
+                   "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]}),
+    "antenna_sweep": ("sum-rate of all architectures across antenna counts",
+                      {"L": [16, 32, 64, 128], "K": 8, "snr_db": [10.0]}),
+    "theorem_check": ("verify two-layer rates equal digital rates per trial",
+                      {"L": [32], "K": 4, "snr_db": [0.0, 10.0, 20.0]}),
 }
 
 COMMON_DEFAULTS = {
@@ -38,13 +38,6 @@ COMMON_DEFAULTS = {
 }
 # every setting a flag or the config file may give; flag dests use these names
 SETTINGS = ("L", "K", "snr_db", *COMMON_DEFAULTS)
-
-_HELP = {
-    "convergence": "record per-iteration objectives of the reduced solver",
-    "snr-sweep": "sum-rate of all architectures across transmit SNR",
-    "antenna-sweep": "sum-rate of all architectures across antenna counts",
-    "theorem-check": "verify two-layer rates equal digital rates per trial",
-}
 
 
 def _int_list(text: str):
@@ -61,26 +54,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo sweeps for two-layer analog beamforming.",
     )
     sub = parser.add_subparsers(dest="command")
-    for command, mode in COMMANDS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for mode, (help_text, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(mode.replace("_", "-"), help=help_text)
         p.set_defaults(mode=mode)
-        p.add_argument("--L", type=_int_list, default=None, metavar="L1[,L2,...]",
+        p.add_argument("--L", type=_int_list, metavar="L1[,L2,...]",
                        help="antenna counts to sweep")
-        p.add_argument("--K", type=int, default=None, help="number of users")
-        p.add_argument("--snr-db", type=_float_list, default=None,
-                       metavar="S1[,S2,...]", help="transmit SNR points in dB")
-        p.add_argument("--trials", type=int, default=None,
-                       help="channel realizations per sweep point")
-        p.add_argument("--seed", type=int, default=None, help="base channel seed")
-        p.add_argument("--eps", type=float, default=None,
-                       help="relative sum-rate convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="outer iteration cap")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--K", type=int, help="number of users")
+        p.add_argument("--snr-db", type=_float_list, metavar="S1[,S2,...]",
+                       help="transmit SNR points in dB")
+        p.add_argument("--trials", type=int, help="channel realizations per sweep point")
+        p.add_argument("--seed", type=int, help="base channel seed")
+        p.add_argument("--eps", type=float, help="relative sum-rate convergence tolerance")
+        p.add_argument("--max-iter", type=int, help="outer iteration cap")
+        p.add_argument("--out", type=str, help="output directory")
+        p.add_argument("--config", type=str,
                        help="JSON file of settings (flags override it)")
         p.add_argument("--no-timing", action="store_const", const=True,
-                       default=None, help="write 0.0 wall times for reproducible files")
+                       help="write 0.0 wall times for reproducible files")
     return parser
 
 
@@ -92,38 +82,28 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - set(SETTINGS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "L" in data:
-        data["L"] = data["L"] if isinstance(data["L"], list) else [data["L"]]
-        data["L"] = [int(v) for v in data["L"]]
-    if "snr_db" in data:
-        raw = data["snr_db"] if isinstance(data["snr_db"], list) else [data["snr_db"]]
-        data["snr_db"] = [float(v) for v in raw]
+    for key in ("L", "snr_db"):  # a one-point sweep may give a bare value
+        if key in data and not isinstance(data[key], list):
+            data[key] = [data[key]]
     return data
 
 
 def build_spec(args) -> ExperimentSpec:
-    settings = dict(COMMON_DEFAULTS)
-    settings.update(MODE_DEFAULTS[args.mode])
+    settings = {**COMMON_DEFAULTS, **SUBCOMMANDS[args.mode][1]}
     if args.config is not None:
         settings.update(_load_config(args.config))
-    for key in SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    solver = SolverConfig(
-        eps=float(settings["eps"]),
-        max_outer=int(settings["max_iter"]),
-    )
+    settings.update((key, getattr(args, key)) for key in SETTINGS
+                    if getattr(args, key) is not None)
     return ExperimentSpec(
         mode=args.mode,
-        L_values=tuple(settings["L"]),
-        K=int(settings["K"]),
-        snr_db_values=tuple(settings["snr_db"]),
-        trials=int(settings["trials"]),
-        base_seed=int(settings["seed"]),
-        solver=solver,
+        L_values=settings["L"],
+        K=settings["K"],
+        snr_db_values=settings["snr_db"],
+        trials=settings["trials"],
+        base_seed=settings["seed"],
+        solver=SolverConfig(eps=settings["eps"], max_outer=settings["max_iter"]),
         output_dir=str(settings["out"]),
-        measure_time=not bool(settings["no_timing"]),
+        measure_time=not settings["no_timing"],
     )
 
 

@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -30,28 +30,12 @@ from .errors import DimensionError, MilacError, check_count, check_positive
 from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
-MODES = ("convergence", "snr_sweep", "antenna_sweep", "theorem_check")
 WORKERS_ENV = "MILAC_WORKERS"
 log = logging.getLogger(__name__)
 
-RESULT_COLUMNS = ("mode", "L", "K", "snr_db", "trial", "architecture",
-                  "sum_rate", "iterations", "wall_time")
 RESULT_SCHEMA = "# milac sweep schema v1"
-SUMMARY_COLUMNS = ("mode", "L", "K", "snr_db", "architecture", "trials",
-                   "mean_sum_rate", "stderr_sum_rate", "mean_wall_time")
 SUMMARY_SCHEMA = "# milac summary schema v1"
-ITER_COLUMNS = ("mode", "L", "K", "snr_db", "trial", "architecture",
-                "iteration", "objective")
 ITER_SCHEMA = "# milac convergence schema v1"
-
-
-def mode_architectures(mode: str):
-    """Architectures run per trial for each experiment mode."""
-    if mode == "convergence":
-        return ("digital_reduced",)
-    if mode == "theorem_check":
-        return ("digital_reduced", "two_layer")
-    return ARCHITECTURES
 
 
 def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
@@ -71,11 +55,12 @@ def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
 class ExperimentSpec:
     """One sweep: grid of antenna counts and SNR points times trials.
 
-    The solver config acts as a template; its Pt is replaced per SNR
-    point, so every point must give a finite positive Pt; a bad one is
-    rejected here, before any output file exists. measure_time=False
-    writes 0.0 wall times so repeated runs produce byte-identical output
-    files.
+    The only check of a sweep's settings: counts and the seed must be
+    integers (a fractional one is refused, not truncated). The solver
+    config acts as a template; its Pt is replaced per SNR point, so every
+    point must give a finite positive Pt. A bad setting is rejected here,
+    before any output file exists. measure_time=False writes 0.0 wall
+    times so repeated runs produce byte-identical output files.
     """
 
     mode: str
@@ -90,7 +75,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise DimensionError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise DimensionError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         K = check_count("K", self.K, 1)
         L_values = tuple(check_count(f"L for K={K}", L, K) for L in self.L_values)
         snr_values = tuple(float(s) for s in self.snr_db_values)
@@ -102,8 +87,11 @@ class ExperimentSpec:
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)
         object.__setattr__(self, "trials", check_count("trials", self.trials, 1))
+        object.__setattr__(self, "base_seed", check_count("seed", self.base_seed, 0))
 
 
+# The row dataclasses below define their CSV files: the header is the field
+# names, each line the field values in that order.
 @dataclass(frozen=True)
 class SweepRow:
     mode: str
@@ -116,12 +104,17 @@ class SweepRow:
     iterations: int
     wall_time: float
 
-    def as_csv(self) -> str:
-        return ",".join([
-            self.mode, str(self.L), str(self.K), repr(self.snr_db),
-            str(self.trial), self.architecture, repr(self.sum_rate),
-            str(self.iterations), repr(self.wall_time),
-        ])
+
+@dataclass(frozen=True)
+class IterationRow:
+    mode: str
+    L: int
+    K: int
+    snr_db: float
+    trial: int
+    architecture: str
+    iteration: int
+    objective: float
 
 
 @dataclass(frozen=True)
@@ -141,22 +134,20 @@ class SummaryRow:
     stderr_sum_rate: float
     mean_wall_time: float
 
-    def as_csv(self) -> str:
-        return ",".join([
-            self.mode, str(self.L), str(self.K), repr(self.snr_db),
-            self.architecture, str(self.trials), repr(self.mean_sum_rate),
-            repr(self.stderr_sum_rate), repr(self.mean_wall_time),
-        ])
+
+def _csv(values) -> str:
+    """One CSV line; str of a float is its shortest round-trip repr."""
+    return ",".join(map(str, values)) + "\n"
 
 
-def _failed_row(spec, L, snr_db, trial, arch, elapsed, exc):
-    log.warning("%s failed at L=%s snr=%s trial=%s: %s", arch, L, snr_db, trial, exc)
-    return SweepRow(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial,
-                    architecture=arch, sum_rate=float("nan"), iterations=-1,
-                    wall_time=elapsed), {
-        "label": arch, "mode": spec.mode, "L": L, "K": spec.K,
-        "snr_db": snr_db, "trial": trial, "error": f"{type(exc).__name__}: {exc}",
-    }
+def _header(schema: str, row_type) -> str:
+    return schema + "\n" + _csv(f.name for f in fields(row_type))
+
+
+def _lines(rows) -> str:
+    # vars(row) holds a row's fields in declaration order, as the generated
+    # __init__ sets them; dataclasses.astuple would deep-copy, at 5x the cost
+    return "".join(_csv(vars(row).values()) for row in rows)
 
 
 def _digital_full(ch, cfg, done):
@@ -192,6 +183,14 @@ RUNNERS = {
 }
 ARCHITECTURES = tuple(RUNNERS)
 
+# experiment mode -> architectures run on each cell, in run order
+MODES = {
+    "convergence": ("digital_reduced",),
+    "snr_sweep": ARCHITECTURES,
+    "antenna_sweep": ARCHITECTURES,
+    "theorem_check": ("digital_reduced", "two_layer"),
+}
+
 
 def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     """Run every architecture of the mode on one (L, snr, trial) cell.
@@ -205,44 +204,42 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     seed = spec.base_seed + trial
     ch = generate_rayleigh(L, spec.K, seed)
     cfg = replace(spec.solver, Pt=snr_to_power(snr_db))
+    cell = dict(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial)
     rows, records, iter_rows = [], [], []
     done = {}
 
     def clock(t0):
         return time.perf_counter() - t0 if spec.measure_time else 0.0
 
-    for arch in mode_architectures(spec.mode):
+    for arch in MODES[spec.mode]:
         t0 = time.perf_counter()
-        rec = None
         try:
             P, iterations, rep = RUNNERS[arch](ch, cfg, done)
         except (MilacError, np.linalg.LinAlgError) as exc:
+            rows.append(SweepRow(**cell, architecture=arch, sum_rate=math.nan,
+                                 iterations=-1, wall_time=clock(t0)))
+            log.warning("%s failed at L=%s snr=%s trial=%s: %s",
+                        arch, L, snr_db, trial, exc)
             done[arch] = exc
-            row, rec = _failed_row(spec, L, snr_db, trial, arch, clock(t0), exc)
-            rows.append(row)
+            rec = {"label": arch, "error": f"{type(exc).__name__}: {exc}"}
         else:
             wall = clock(t0)
             done[arch] = rep
-            rows.append(SweepRow(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db,
-                                 trial=trial, architecture=arch,
+            rows.append(SweepRow(**cell, architecture=arch,
                                  sum_rate=sum_rate(ch.H, P, ch.sigma),
                                  iterations=iterations, wall_time=wall))
-            if rep is not None:
-                rec = report_record(rep, cfg, seed=seed, label=arch)
-                if spec.mode == "convergence":
-                    iter_rows += [(spec.mode, L, spec.K, snr_db, trial, arch, i, float(obj))
-                                  for i, obj in enumerate(rep.objective_history)]
-        if rec is not None:
-            rec.update(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial)
-            if not spec.measure_time:
-                rec["wall_time"] = 0.0
-            records.append(rec)
+            if rep is None:
+                continue
+            rec = report_record(rep, cfg, seed=seed, label=arch)
+            if spec.mode == "convergence":
+                iter_rows += [IterationRow(**cell, architecture=arch, iteration=i,
+                                           objective=float(obj))
+                              for i, obj in enumerate(rep.objective_history)]
+        rec.update(cell)
+        if not spec.measure_time:
+            rec["wall_time"] = 0.0
+        records.append(rec)
     return rows, records, iter_rows
-
-
-def _run_task(spec, task):
-    L, snr_db, trial = task
-    return run_point(spec, L, snr_db, trial)
 
 
 def worker_count() -> int:
@@ -267,46 +264,37 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     than one worker, with no more workers than tasks (a one-task sweep
     runs serially); output order is independent of scheduling.
     """
-    points = [(L, snr) for L in spec.L_values for snr in spec.snr_db_values]
-    tasks = [(L, snr, t) for (L, snr) in points for t in range(spec.trials)]
-    workers = min(worker_count(), len(tasks))
+    cells = [(L, snr, t) for L in spec.L_values for snr in spec.snr_db_values
+             for t in range(spec.trials)]
+    workers = min(worker_count(), len(cells))
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     with ExitStack() as stack:
         fres = stack.enter_context(open(out / "results.csv", "w"))
         fsol = stack.enter_context(open(out / "solves.jsonl", "w"))
-        fres.write(RESULT_SCHEMA + "\n" + ",".join(RESULT_COLUMNS) + "\n")
-        iters_fh = None
+        fres.write(_header(RESULT_SCHEMA, SweepRow))
         if spec.mode == "convergence":
-            iters_fh = stack.enter_context(open(out / "iterations.csv", "w"))
-            iters_fh.write(ITER_SCHEMA + "\n" + ",".join(ITER_COLUMNS) + "\n")
+            fiter = stack.enter_context(open(out / "iterations.csv", "w"))
+            fiter.write(_header(ITER_SCHEMA, IterationRow))
+        # run_point(spec, L, snr_db, trial) per cell, results in cell order
+        args = (partial(run_point, spec), *zip(*cells))
         if workers == 1:
-            outputs = map(partial(_run_task, spec), tasks)
-            _consume(outputs, fres, fsol, iters_fh, all_rows)
+            outputs = map(*args)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outputs = pool.map(partial(_run_task, spec), tasks, chunksize=4)
-                _consume(outputs, fres, fsol, iters_fh, all_rows)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            outputs = pool.map(*args, chunksize=4)
+        for rows, records, iter_rows in outputs:
+            all_rows += rows
+            fres.write(_lines(rows))
+            fsol.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+            if iter_rows:  # convergence mode only
+                fiter.write(_lines(iter_rows))
+            fres.flush()
     result = SweepResult(rows=tuple(all_rows))
-    write_summary(out / "summary.csv", summarize(result))
+    with open(out / "summary.csv", "w") as fh:
+        fh.write(_header(SUMMARY_SCHEMA, SummaryRow) + _lines(summarize(result)))
     return result
-
-
-def _consume(outputs, fres, fsol, iters_fh, all_rows):
-    for rows, records, iter_rows in outputs:
-        for row in rows:
-            fres.write(row.as_csv() + "\n")
-            all_rows.append(row)
-        for rec in records:
-            fsol.write(json.dumps(rec, sort_keys=True) + "\n")
-        if iters_fh is not None:
-            for tup in iter_rows:
-                mode, L, K, snr_db, trial, arch, i, obj = tup
-                iters_fh.write(
-                    f"{mode},{L},{K},{snr_db!r},{trial},{arch},{i},{obj!r}\n"
-                )
-        fres.flush()
 
 
 def summarize(result: SweepResult):
@@ -316,30 +304,17 @@ def summarize(result: SweepResult):
     the successful trials of each group; groups keep first-seen order.
     """
     groups = {}
-    order = []
     for row in result.rows:
         key = (row.mode, row.L, row.K, row.snr_db, row.architecture)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
     out = []
-    for key in order:
-        rows = [r for r in groups[key] if np.isfinite(r.sum_rate)]
+    for key, group in groups.items():
+        rows = [r for r in group if np.isfinite(r.sum_rate)]
         n = len(rows)
         rates = np.array([r.sum_rate for r in rows]) if n else np.array([np.nan])
         walls = np.array([r.wall_time for r in rows]) if n else np.array([np.nan])
         stderr = float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        out.append(SummaryRow(
-            mode=key[0], L=key[1], K=key[2], snr_db=key[3], architecture=key[4],
-            trials=n, mean_sum_rate=float(np.mean(rates)),
-            stderr_sum_rate=stderr, mean_wall_time=float(np.mean(walls)),
-        ))
+        # key holds the first five fields, mode through architecture
+        out.append(SummaryRow(*key, trials=n, mean_sum_rate=float(np.mean(rates)),
+                              stderr_sum_rate=stderr, mean_wall_time=float(np.mean(walls))))
     return out
-
-
-def write_summary(path, summary_rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(SUMMARY_SCHEMA + "\n" + ",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary_rows:
-            fh.write(row.as_csv() + "\n")

@@ -247,6 +247,7 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
     maximizer onto the sphere never lowers a user's SINR. If every beta_k
     is zero the surrogate has no linear term and T is returned unchanged.
     """
+    Pt = check_positive("Pt", Pt)
     Hbar = np.asarray(Hbar, dtype=np.complex128)
     T = np.asarray(T, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
@@ -256,6 +257,7 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
 
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     """Columns proportional to the per-user channels, equal power split."""
+    Pt = check_positive("Pt", Pt)
     Heff = np.asarray(Heff, dtype=np.complex128)
     if Heff.ndim != 2:
         raise DimensionError(f"Heff must be 2-D, got shape {Heff.shape}")
@@ -268,6 +270,7 @@ def matched_filter_init(Heff, Pt: float) -> np.ndarray:
 
 def random_init(shape, Pt: float, seed) -> np.ndarray:
     """Seeded complex Gaussian point on the power sphere (for multi-start)."""
+    Pt = check_positive("Pt", Pt)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return project_power(X, Pt)

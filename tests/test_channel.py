@@ -44,6 +44,14 @@ def test_generate_invalid_dimensions():
         generate_rayleigh(2, 0, seed=0)
 
 
+@pytest.mark.parametrize("L, K", [(4.5, 2), (4, 2.0), (2, 4)])
+def test_generate_rejects_bad_counts(L, K):
+    # counts must be integers with L >= K >= 1; a float count is refused,
+    # not passed on to numpy
+    with pytest.raises(DimensionError):
+        generate_rayleigh(L, K, 0)
+
+
 def test_channel_set_validation():
     with pytest.raises(DimensionError):
         ChannelSet(H=np.ones((2, 3), dtype=complex))

@@ -3,6 +3,7 @@
 import json
 import logging
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from milac.cli import main
 from milac.harness import (
     ARCHITECTURES,
     ITER_SCHEMA,
-    RESULT_COLUMNS,
+    MODES,
     RESULT_SCHEMA,
-    mode_architectures,
+    SUMMARY_SCHEMA,
+    IterationRow,
+    SummaryRow,
     run_point,
 )
 
@@ -53,10 +56,12 @@ def test_snr_to_power():
 
 
 def test_mode_architectures():
-    assert mode_architectures("convergence") == ("digital_reduced",)
-    assert mode_architectures("theorem_check") == ("digital_reduced", "two_layer")
-    assert mode_architectures("snr_sweep") == ARCHITECTURES
-    assert mode_architectures("antenna_sweep") == ARCHITECTURES
+    assert MODES == {
+        "convergence": ("digital_reduced",),
+        "snr_sweep": ARCHITECTURES,
+        "antenna_sweep": ARCHITECTURES,
+        "theorem_check": ("digital_reduced", "two_layer"),
+    }
 
 
 def test_spec_validation():
@@ -85,13 +90,58 @@ def test_spec_validation():
     ExperimentSpec(mode="snr_sweep", snr_db_values=(-300.0, 300.0))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_spec_rejects_bad_seed_before_writing(tmp_path, seed):
+    with pytest.raises(DimensionError, match="^seed must be"):
+        run_experiment(small_spec(tmp_path, base_seed=seed))
+    assert not (tmp_path / "out").exists()
+
+
+PARSE = {"str": str, "int": int, "float": float}
+
+
+def read_table(path, schema, row_type):
+    """A CSV file's data lines as row_type instances; checks its header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == schema
+    names = [f.name for f in fields(row_type)]
+    assert lines[1].split(",") == names
+    return [row_type(**{f.name: PARSE[f.type](cell)
+                        for f, cell in zip(fields(row_type), line.split(","), strict=True)})
+            for line in lines[2:]]
+
+
+@pytest.mark.parametrize("mode", ["snr_sweep", "convergence"])
+def test_files_round_trip(tmp_path, mode):
+    # every float is written so that float() reads back the same value;
+    # measured wall times give full-length floats to check
+    spec = small_spec(tmp_path, mode=mode, snr_db_values=(0.0, 10.0), trials=2,
+                      measure_time=True)
+    result = run_experiment(spec)
+    out = tmp_path / "out"
+    assert read_table(out / "results.csv", RESULT_SCHEMA, SweepRow) == list(result.rows)
+    assert (read_table(out / "summary.csv", SUMMARY_SCHEMA, SummaryRow)
+            == summarize(result))
+    if mode != "convergence":
+        assert not (out / "iterations.csv").exists()
+        return
+    iters = read_table(out / "iterations.csv", ITER_SCHEMA, IterationRow)
+    records = [json.loads(line) for line in (out / "solves.jsonl").read_text().splitlines()]
+    assert len(records) == len(result.rows) == 4
+    expected = [IterationRow(mode=mode, L=rec["L"], K=rec["K"], snr_db=rec["snr_db"],
+                             trial=rec["trial"], architecture=rec["label"],
+                             iteration=i, objective=obj)
+                for rec in records for i, obj in enumerate(rec["objective_history"])]
+    assert iters == expected
+
+
 def test_row_count_and_schema(tmp_path):
     spec = small_spec(tmp_path, snr_db_values=(0.0, 10.0))
     result = run_experiment(spec)
     assert len(result.rows) == 1 * 2 * 3 * len(ARCHITECTURES)
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert lines[0] == RESULT_SCHEMA
-    assert lines[1] == ",".join(RESULT_COLUMNS)
+    assert lines[1] == ",".join(f.name for f in fields(SweepRow))
     assert len(lines) == 2 + len(result.rows)
 
 
@@ -288,8 +338,8 @@ def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(milac.harness, "ProcessPoolExecutor", FakePool)
     monkeypatch.delenv("MILAC_WORKERS", raising=False)
@@ -395,6 +445,31 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
     assert len(rows) == 2  # one trial, two architectures
     assert {r[3] for r in rows} == {"5.0"}
     assert {r[1] for r in rows} == {"8"}
+
+
+def test_cli_rejects_fractional_config(tmp_path, capsys):
+    # counts reach the spec as written: a fractional one is refused, not
+    # truncated, and nothing is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"K": 2.5, "trials": 1.9, "L": [8.7], "max_iter": 3.5}))
+    out = tmp_path / "run"
+    assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: max_outer must be an integer, got 3.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("K", 2.5, "K"), ("trials", 1.9, "trials"), ("L", [8.7], "L for K=4"),
+    ("L", 8.7, "L for K=4"), ("seed", 1.5, "seed"), ("seed", "3", "seed"),
+    ("max_iter", 3.5, "max_outer"),
+])
+def test_cli_config_names_bad_count(tmp_path, capsys, key, value, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: {named} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

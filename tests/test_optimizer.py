@@ -1,6 +1,7 @@
 """Fractional-programming solver: closed forms, ascent, convergence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ def test_matched_filter_init_on_sphere():
         assert cos == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NumericalError, match="zero channel column"):
         matched_filter_init(np.eye(3, 2) * [1.0, 0.0], Pt=1.0)
+
+
+@pytest.mark.parametrize("Pt", [-1.0, 0.0, np.nan, np.inf])
+def test_precoder_helpers_reject_bad_power(Pt):
+    # a bad Pt fails on entry, before sqrt or the power sphere sees it
+    H = np.eye(2, dtype=complex)
+    calls = (lambda: matched_filter_init(H, Pt),
+             lambda: random_init((2, 2), Pt, 0),
+             lambda: update_T(H, H, np.ones(2), np.ones(2, dtype=complex), Pt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DimensionError, match="^Pt must be finite and positive"):
+                call()
 
 
 def test_random_init_deterministic():
