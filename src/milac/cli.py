@@ -6,7 +6,9 @@ adds iterations.csv) into --out. A setting comes from an explicit flag,
 else a JSON config file, else the mode's default (100 trials, tolerance
 1e-4). Values pass to ExperimentSpec and SolverConfig unchanged, and they
 alone check them, so a config file's counts and seed must be JSON
-integers. MILAC_WORKERS sets the worker-pool size.
+integers. The exception is no_timing: it is checked here to be a boolean
+before it is negated into measure_time. MILAC_WORKERS sets the
+worker-pool size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import MilacError
+from .errors import DimensionError, MilacError
 from .harness import ExperimentSpec, run_experiment
 from .optimizer import SolverConfig
 
@@ -94,6 +96,8 @@ def build_spec(args) -> ExperimentSpec:
         settings.update(_load_config(args.config))
     settings.update((key, getattr(args, key)) for key in SETTINGS
                     if getattr(args, key) is not None)
+    if not isinstance(settings["no_timing"], bool):
+        raise DimensionError(f"no_timing must be true or false, got {settings['no_timing']!r}")
     return ExperimentSpec(
         mode=args.mode,
         L_values=settings["L"],

@@ -7,6 +7,13 @@ depend only on the trial index, so every architecture and sweep point
 sees the same fading for a given trial (paired comparison). The
 two_layer architecture realizes the digital_reduced solution of the same
 trial, so its wall time covers the mapping alone.
+
+Within one run_experiment call a private memo keeps each trial's channel
+and its range-space reduction, keyed by (L, K, seed), so a trial draws and
+reduces its channel once and reuses both at every SNR point. The memo is
+emptied when the sweep starts and when it ends, whether it returns or
+raises, and holds one antenna count's trials at a time; a reduction that
+raises is not kept. Outside run_experiment, run_point draws afresh.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -41,9 +48,12 @@ ITER_SCHEMA = "# milac convergence schema v1"
 def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
     """Transmit power for a given transmit SNR, Pt = sigma^2 10^(SNR/10).
 
-    Raises DimensionError unless Pt is finite and positive (a NaN SNR, or
-    one beyond about +-3000 dB, where 10^(SNR/10) overflows or underflows).
+    Raises DimensionError unless snr_db is a real number and Pt is finite
+    and positive (a NaN SNR, or one beyond about +-3000 dB, where
+    10^(SNR/10) overflows or underflows).
     """
+    if not isinstance(snr_db, numbers.Real):
+        raise DimensionError(f"SNR must be a real number of dB, got {snr_db!r}")
     try:
         Pt = float(sigma) ** 2 * 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
@@ -58,9 +68,10 @@ class ExperimentSpec:
     The only check of a sweep's settings: counts and the seed must be
     integers (a fractional one is refused, not truncated). The solver
     config acts as a template; its Pt is replaced per SNR point, so every
-    point must give a finite positive Pt. A bad setting is rejected here,
-    before any output file exists. measure_time=False writes 0.0 wall
-    times so repeated runs produce byte-identical output files.
+    point must be a real number that gives a finite positive Pt. A bad
+    setting is rejected here, before any output file exists.
+    measure_time must be a bool; False writes 0.0 wall times so repeated
+    runs produce byte-identical output files.
     """
 
     mode: str
@@ -78,11 +89,14 @@ class ExperimentSpec:
             raise DimensionError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         K = check_count("K", self.K, 1)
         L_values = tuple(check_count(f"L for K={K}", L, K) for L in self.L_values)
-        snr_values = tuple(float(s) for s in self.snr_db_values)
+        snr_values = tuple(self.snr_db_values)
         if not L_values or not snr_values:
             raise DimensionError("sweep lists must be non-empty")
         for snr in snr_values:
             snr_to_power(snr)
+        snr_values = tuple(map(float, snr_values))
+        if not isinstance(self.measure_time, bool):
+            raise DimensionError(f"measure_time must be a bool, got {self.measure_time!r}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)
@@ -150,17 +164,54 @@ def _lines(rows) -> str:
     return "".join(_csv(vars(row).values()) for row in rows)
 
 
-def _digital_full(ch, cfg, done):
-    rep = solve_full_dim(ch, cfg)
+class _Trial:
+    """One trial's channel and, from its first use, its reduction."""
+
+    __slots__ = ("ch", "_reduced")
+
+    def __init__(self, ch):
+        self.ch = ch
+        self._reduced = None
+
+    def reduced(self):
+        if self._reduced is None:  # a reduction that raised is retried, not kept
+            self._reduced = reduce_channel(self.ch)
+        return self._reduced
+
+
+# (L, K, seed) -> _Trial for the running sweep's trials at one L; None
+# outside run_experiment (see the module docstring)
+_trials = None
+
+
+def _trial(L: int, K: int, seed: int) -> _Trial:
+    if _trials is None:
+        return _Trial(generate_rayleigh(L, K, seed))
+    key = (L, K, seed)
+    trial = _trials.get(key)
+    if trial is None:
+        if _trials and next(iter(_trials))[0] != L:
+            _trials.clear()
+        trial = _trials[key] = _Trial(generate_rayleigh(L, K, seed))
+    return trial
+
+
+def _use_memo(memo):
+    global _trials
+    _trials = memo
+
+
+def _digital_full(trial, cfg, done):
+    rep = solve_full_dim(trial.ch, cfg)
     return rep.Pd, rep.iterations, rep
 
 
-def _digital_reduced(ch, cfg, done):
-    rep = solve_psla(reduce_channel(ch), cfg)
+def _digital_reduced(trial, cfg, done):
+    rep = solve_psla(trial.reduced(), cfg)
     return rep.Pd, rep.iterations, rep
 
 
-def _two_layer(ch, cfg, done):
+def _two_layer(trial, cfg, done):
     reduced = done["digital_reduced"]
     if isinstance(reduced, Exception):
         raise reduced
@@ -168,13 +219,14 @@ def _two_layer(ch, cfg, done):
     return sol.G, reduced.iterations, None
 
 
-def _zero_forcing(ch, cfg, done):
-    return zero_forcing(ch, cfg.Pt), 0, None
+def _zero_forcing(trial, cfg, done):
+    return zero_forcing(trial.ch, cfg.Pt), 0, None
 
 
-# architecture -> fn(ch, cfg, done) returning (precoder, iterations, solve
-# report or None); done maps each architecture already run on the cell to
-# its report or to the exception it raised
+# architecture -> fn(trial, cfg, done) returning (precoder, iterations,
+# solve report or None); trial is the cell's _Trial, and done maps each
+# architecture already run on the cell to its report or to the exception
+# it raised
 RUNNERS = {
     "digital_full": _digital_full,
     "digital_reduced": _digital_reduced,
@@ -200,9 +252,13 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     two_layer maps the digital_reduced solution of the same cell: its row
     repeats that solve's iteration count, its wall time covers the mapping
     alone, and it fails with digital_reduced's error if that solve failed.
+    Within a sweep the trial's channel and reduction come from the memo, so
+    digital_reduced's wall time includes the reduction only where it is
+    computed, at the trial's first SNR point.
     """
     seed = spec.base_seed + trial
-    ch = generate_rayleigh(L, spec.K, seed)
+    drawn = _trial(L, spec.K, seed)
+    ch = drawn.ch
     cfg = replace(spec.solver, Pt=snr_to_power(snr_db))
     cell = dict(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial)
     rows, records, iter_rows = [], [], []
@@ -214,7 +270,7 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     for arch in MODES[spec.mode]:
         t0 = time.perf_counter()
         try:
-            P, iterations, rep = RUNNERS[arch](ch, cfg, done)
+            P, iterations, rep = RUNNERS[arch](drawn, cfg, done)
         except (MilacError, np.linalg.LinAlgError) as exc:
             rows.append(SweepRow(**cell, architecture=arch, sum_rate=math.nan,
                                  iterations=-1, wall_time=clock(t0)))
@@ -262,7 +318,13 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     iterations.csv with the per-iteration objective. Trials run in a
     process pool when the MILAC_WORKERS environment variable asks for more
     than one worker, with no more workers than tasks (a one-task sweep
-    runs serially); output order is independent of scheduling.
+    runs serially); output order is independent of scheduling. The pool
+    module is imported only then.
+
+    Each trial's channel and reduction are computed once per antenna count
+    and reused at every SNR point: the trial memo is opened empty on entry
+    and dropped on exit, returned or raised, so every call recomputes. Each
+    pool worker fills a memo of its own.
     """
     cells = [(L, snr, t) for L in spec.L_values for snr in spec.snr_db_values
              for t in range(spec.trials)]
@@ -270,7 +332,9 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
+    _use_memo({})
     with ExitStack() as stack:
+        stack.callback(_use_memo, None)
         fres = stack.enter_context(open(out / "results.csv", "w"))
         fsol = stack.enter_context(open(out / "solves.jsonl", "w"))
         fres.write(_header(RESULT_SCHEMA, SweepRow))
@@ -282,7 +346,10 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
         if workers == 1:
             outputs = map(*args)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_use_memo, initargs=({},)))
             outputs = pool.map(*args, chunksize=4)
         for rows, records, iter_rows in outputs:
             all_rows += rows

@@ -134,14 +134,14 @@ class TwoLayerSolution:
     @property
     def F(self) -> np.ndarray:
         """Input-layer transfer block Theta21 / 2 (K x K)."""
-        return self.Theta.S[self.K:, :self.K] / 2.0
+        return self.Theta.S[self.K:, :self.K] * 0.5
 
     @property
     def W(self) -> np.ndarray:
         """Output-layer transfer block Phi21 / 2 (L x K)."""
         if isinstance(self.Phi, FactoredScattering):
-            return self.Phi.U1 / 2.0
-        return self.Phi.S[self.K:, :self.K] / 2.0
+            return self.Phi.U1 * 0.5
+        return self.Phi.S[self.K:, :self.K] * 0.5
 
     @property
     def G(self) -> np.ndarray:
@@ -231,11 +231,14 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     """
     K = d.K
     h, tau = np.linalg.qr(d.Pd, mode="raw")
-    V = np.tril(h.T, -1)
-    # R is the upper triangle of h.T[:K]; subtracting the strict lower
-    # part leaves exact zeros below the diagonal
-    Ur, s, Vh = np.linalg.svd(h.T[:K] - V[:K])
+    # h.T (L x K) holds R on and above the diagonal of its K x K head and
+    # the reflectors below it; they become V in place: subtracting R from
+    # the head leaves exact zeros above its diagonal
+    V = h.T
+    R = np.triu(V[:K])
+    V[:K] -= R
     np.fill_diagonal(V, 1.0)
+    Ur, s, Vh = np.linalg.svd(R)
     Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
     Theta[:K, K:] = Vh.T
     Theta[K:, :K] = Vh

@@ -275,7 +275,7 @@ def beamformer_from_scattering(S: ScatteringMatrix | FactoredScattering | np.nda
         raise DimensionError(
             f"port split {n_in}+{n_out} does not match an {n}-port network"
         )
-    return M[n_in:, :n_in] / 2.0
+    return M[n_in:, :n_in] * 0.5
 
 
 def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndarray,

@@ -2,8 +2,12 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from milac import (
     SolverConfig,
     SweepResult,
     SweepRow,
+    generate_rayleigh,
     run_experiment,
     snr_to_power,
     summarize,
@@ -30,6 +35,8 @@ from milac.harness import (
     SummaryRow,
     run_point,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def small_spec(tmp_path, mode="snr_sweep", **kw):
@@ -53,6 +60,11 @@ def test_snr_to_power():
     for snr in (4000.0, -4000.0, np.nan):
         with pytest.raises(DimensionError, match="finite and positive"):
             snr_to_power(snr)
+    assert snr_to_power(np.float32(10.0)) == pytest.approx(10.0)
+    assert snr_to_power(np.int64(20)) == pytest.approx(100.0)
+    for bad in (None, "10", [1.0], 1j):
+        with pytest.raises(DimensionError, match="SNR must be a real number"):
+            snr_to_power(bad)
 
 
 def test_mode_architectures():
@@ -88,6 +100,14 @@ def test_spec_validation():
         with pytest.raises(DimensionError):
             ExperimentSpec(mode="snr_sweep", snr_db_values=(0.0, snr))
     ExperimentSpec(mode="snr_sweep", snr_db_values=(-300.0, 300.0))
+    # an SNR point that is not a real number is refused, not converted
+    for snr in (None, "ten", "10", [1], 1j):
+        with pytest.raises(DimensionError, match="SNR must be a real number"):
+            ExperimentSpec(mode="snr_sweep", snr_db_values=(0.0, snr))
+    assert ExperimentSpec(mode="snr_sweep", snr_db_values=(np.int64(5),)).snr_db_values == (5.0,)
+    for flag in ("yes", "false", 1, None, np.True_):
+        with pytest.raises(DimensionError, match="^measure_time must be a bool, got "):
+            ExperimentSpec(mode="snr_sweep", measure_time=flag)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
@@ -291,16 +311,17 @@ def test_summary_statistical_consistency(tmp_path):
 
 
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):
-    spec_serial = small_spec(tmp_path / "serial", mode="theorem_check",
-                             trials=3)
-    serial = run_experiment(spec_serial)
+    # two antenna counts and two SNR points, so the workers' trial memos
+    # are filled, reused and switched between antenna counts
+    grid = dict(mode="theorem_check", trials=3, L_values=(8, 10), snr_db_values=(0.0, 10.0))
+    serial = run_experiment(small_spec(tmp_path / "serial", **grid))
     monkeypatch.setenv("MILAC_WORKERS", "2")
-    spec_pool = small_spec(tmp_path / "pool", mode="theorem_check", trials=3)
-    pooled = run_experiment(spec_pool)
+    pooled = run_experiment(small_spec(tmp_path / "pool", **grid))
     assert serial.rows == pooled.rows
-    a = (tmp_path / "serial" / "out" / "results.csv").read_bytes()
-    b = (tmp_path / "pool" / "out" / "results.csv").read_bytes()
-    assert a == b
+    for name in ("results.csv", "solves.jsonl", "summary.csv"):
+        a = (tmp_path / "serial" / "out" / name).read_bytes()
+        b = (tmp_path / "pool" / "out" / name).read_bytes()
+        assert a == b, name
 
 
 def test_worker_count_validation(tmp_path, monkeypatch):
@@ -323,13 +344,13 @@ def test_worker_count_validation(tmp_path, monkeypatch):
 
 
 def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
-    import milac.harness
+    import concurrent.futures
 
     pools = []
 
     class FakePool:
         # runs tasks in-process and records the requested pool size
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
 
         def __enter__(self):
@@ -341,7 +362,8 @@ def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(milac.harness, "ProcessPoolExecutor", FakePool)
+    # run_experiment imports the pool class from concurrent.futures when it uses it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.delenv("MILAC_WORKERS", raising=False)
     serial = run_experiment(small_spec(tmp_path / "serial", trials=3))
     monkeypatch.setenv("MILAC_WORKERS", "8")
@@ -350,6 +372,107 @@ def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
     assert pooled.rows == serial.rows
     run_experiment(small_spec(tmp_path / "one", trials=1))
     assert pools == [3]  # a one-task sweep takes the serial path
+
+
+def test_import_leaves_out_the_process_pool():
+    code = ("import sys, milac; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the harness's channel draws and reductions, keyed by (L, seed)."""
+    import milac.harness as harness
+
+    draws, reductions, seeds = [], [], {}
+    generate, reduce = harness.generate_rayleigh, harness.reduce_channel
+
+    def counting_generate(L, K, seed):
+        # the memo holds one antenna count's trials: none of another L here
+        assert {key[0] for key in harness._trials or ()} <= {L}
+        ch = generate(L, K, seed)
+        draws.append((L, seed))
+        seeds[id(ch)] = (L, seed)
+        return ch
+
+    def counting_reduce(ch):
+        reductions.append(seeds[id(ch)])
+        return reduce(ch)
+
+    monkeypatch.setattr(harness, "generate_rayleigh", counting_generate)
+    monkeypatch.setattr(harness, "reduce_channel", counting_reduce)
+    return draws, reductions
+
+
+@pytest.mark.parametrize("mode", ["snr_sweep", "theorem_check", "convergence"])
+def test_sweep_draws_and_reduces_each_trial_once(tmp_path, counted, mode):
+    import milac.harness as harness
+
+    draws, reductions = counted
+    grid = dict(mode=mode, L_values=(8, 10), snr_db_values=(0.0, 10.0, 20.0), trials=2)
+    result = run_experiment(small_spec(tmp_path / "a", **grid))
+    once = [(L, seed) for L in (8, 10) for seed in (0, 1)]
+    assert sorted(draws) == once and sorted(reductions) == once
+    assert harness._trials is None
+    assert all(np.isfinite(r.sum_rate) for r in result.rows)
+    # a second sweep in the same process draws and reduces again
+    run_experiment(small_spec(tmp_path / "b", **grid))
+    assert sorted(draws) == sorted(once * 2) and sorted(reductions) == sorted(once * 2)
+    for name in ("results.csv", "solves.jsonl"):
+        assert ((tmp_path / "a" / "out" / name).read_bytes()
+                == (tmp_path / "b" / "out" / name).read_bytes())
+
+
+def test_memo_dropped_when_sweep_raises(tmp_path, monkeypatch):
+    import milac.harness as harness
+
+    def crash(ch, Pt):
+        raise RuntimeError("not a recorded failure")
+
+    monkeypatch.setattr(harness, "zero_forcing", crash)
+    with pytest.raises(RuntimeError):
+        run_experiment(small_spec(tmp_path, snr_db_values=(0.0, 10.0)))
+    assert harness._trials is None
+
+
+def test_run_point_outside_a_sweep_draws_afresh(tmp_path, counted):
+    draws, reductions = counted
+    spec = small_spec(tmp_path, mode="theorem_check")
+    run_point(spec, 8, 0.0, 1)
+    run_point(spec, 8, 10.0, 1)
+    assert draws == reductions == [(8, 1), (8, 1)]
+
+
+def test_failed_reduction_fails_its_trial_at_every_snr_point(tmp_path, counted, monkeypatch):
+    import milac.harness as harness
+
+    draws, reductions = counted
+    reduce = harness.reduce_channel
+    bad = generate_rayleigh(8, 2, 1).H
+
+    def failing_reduce(ch):
+        out = reduce(ch)  # counted
+        if np.array_equal(ch.H, bad):
+            raise RankDeficientError("synthetic reduction failure")
+        return out
+
+    monkeypatch.setattr(harness, "reduce_channel", failing_reduce)
+    snrs = (0.0, 10.0, 20.0)
+    result = run_experiment(small_spec(tmp_path, snr_db_values=snrs, trials=2))
+    # the failed reduction is not kept: trial 1 retries it at each point
+    assert sorted(reductions) == [(8, 0)] + [(8, 1)] * len(snrs)
+    for row in result.rows:
+        failed = row.trial == 1 and row.architecture in ("digital_reduced", "two_layer")
+        assert np.isnan(row.sum_rate) == failed, row
+        assert (row.iterations == -1) == failed, row
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "solves.jsonl").read_text().splitlines()]
+    errors = [(rec["snr_db"], rec["label"]) for rec in records if "error" in rec]
+    assert errors == [(snr, arch) for snr in snrs for arch in ("digital_reduced", "two_layer")]
 
 
 def test_run_point_reuses_reduced_solution(tmp_path):
@@ -469,6 +592,26 @@ def test_cli_config_names_bad_count(tmp_path, capsys, key, value, named):
     out = tmp_path / "run"
     assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"error: {named} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", [None, "ten", [[1]]])
+def test_cli_rejects_non_number_snr_in_config(tmp_path, capsys, snr):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"snr_db": snr, "trials": 1}))
+    out = tmp_path / "run"
+    assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: SNR must be a real number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+def test_cli_rejects_non_boolean_no_timing(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"no_timing": flag, "trials": 1}))
+    out = tmp_path / "run"
+    assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: no_timing must be true or false, got " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from milac import (
     InconsistentSolutionError,
     ScatteringMatrix,
     TwoLayerSolution,
+    beamformer_from_scattering,
     check_lossless_reciprocal,
     generate_rayleigh,
     load_solution,
@@ -335,6 +336,55 @@ def test_factored_phi_materializes_bit_identical(case, tmp_path):
     assert np.array_equal(sol.W, sol.Phi.S[d.K:, :d.K] / 2)
     save_solution(tmp_path, sol)
     assert np.array_equal(load_solution(tmp_path).Phi.S, sol.Phi.S)
+
+
+def _structured_with_zeros():
+    # exact zeros inside the head and below it, and a real column
+    A = np.random.default_rng(45).standard_normal((12, 3)) + 0j
+    A[:4, 1] = 0.0
+    A[::2, 0] = 0.0
+    A[1::3, 2] = 0.0
+    A[:, 2] += 1j * np.arange(12)
+    return _scaled(A)
+
+
+KERNEL_CASES = {
+    "32x4": lambda: random_beamformer(32, 4, Pt=1.0, seed=50),
+    "512x8": lambda: random_beamformer(512, 8, Pt=1.0, seed=51),
+    "16x16": lambda: random_beamformer(16, 16, Pt=1.0, seed=52),
+    "structured_zeros": _structured_with_zeros,
+    "axis_aligned_5x2": COMPLEMENT_CASES["axis_aligned_5x2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_layer_kernels_match_written_out_formulas(case, tmp_path):
+    # the reflectors, the half-scaled blocks and G equal, bit for bit, the
+    # plain formulas: V as the strict lower triangle of the raw QR's h.T
+    # with a unit diagonal, and the blocks as halves of Theta21 and Phi21
+    d = KERNEL_CASES[case]()
+    L, K = d.L, d.K
+    sol = map_digital_to_milac(d)
+    V, T, Ur = _reflector_factors(d.Pd)
+    assert np.array_equal(sol.Phi.V, V)
+    assert np.array_equal(sol.Phi.T, T) and np.array_equal(sol.Phi.Ur, Ur)
+    F = sol.Theta.S[K:, :K] / 2.0
+    W = _written_out_factors(V, T, Ur)[0] / 2.0
+    assert np.array_equal(sol.F, F) and np.array_equal(sol.W, W)
+    assert np.array_equal(sol.G, W @ (sol.Psqrt @ F))
+    assert np.array_equal(beamformer_from_scattering(sol.Phi, K, L), W)
+    dense = TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi.S, Psqrt=sol.Psqrt)
+    assert np.array_equal(dense.W, W) and np.array_equal(dense.G, sol.G)
+    # the written layers are byte for byte those of the written-out factors
+    Vh = np.linalg.svd(np.triu(np.linalg.qr(d.Pd, mode="raw")[0][:, :K].T))[2]
+    Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
+    Theta[:K, K:] = Vh.T
+    Theta[K:, :K] = Vh
+    save_solution(tmp_path / "sol", sol)
+    save_matrix(tmp_path / "theta.txt", Theta)
+    save_matrix(tmp_path / "phi.txt", _dense_second_layer(d.Pd))
+    for name in ("theta.txt", "phi.txt"):
+        assert (tmp_path / "sol" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def _criterion_1_beamformers():
