@@ -26,7 +26,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentSpec,
-    SweepResult,
     SweepRow,
     run_experiment,
     snr_to_power,
@@ -45,7 +44,6 @@ from .matio import load_matrix, save_matrix
 from .network import (
     FactoredScattering,
     LosslessReciprocalReport,
-    ReferenceImpedance,
     ScatteringMatrix,
     SusceptanceMatrix,
     admittance_from_components,
@@ -78,18 +76,17 @@ __all__ = [
     "DimensionError", "InconsistentSolutionError", "MilacError",
     "NotRealizableError", "NumericalError", "RankDeficientError",
     # harness
-    "ExperimentSpec", "SweepResult", "SweepRow", "run_experiment", "snr_to_power",
-    "summarize",
+    "ExperimentSpec", "SweepRow", "run_experiment", "snr_to_power", "summarize",
     # mapping
     "DigitalBeamformer", "PhiFeasibilityReport", "TwoLayerSolution", "load_solution",
     "map_digital_to_milac", "save_solution", "verify_phi_feasibility",
     # matio
     "load_matrix", "save_matrix",
     # network
-    "FactoredScattering", "LosslessReciprocalReport", "ReferenceImpedance",
-    "ScatteringMatrix", "SusceptanceMatrix", "admittance_from_components",
-    "beamformer_from_scattering", "check_lossless_reciprocal",
-    "scattering_from_susceptance", "susceptance_from_scattering",
+    "FactoredScattering", "LosslessReciprocalReport", "ScatteringMatrix",
+    "SusceptanceMatrix", "admittance_from_components", "beamformer_from_scattering",
+    "check_lossless_reciprocal", "scattering_from_susceptance",
+    "susceptance_from_scattering",
     # optimizer
     "SolveReport", "SolverConfig", "matched_filter_init", "random_init", "solve_psla",
     "solve_two_layer", "sum_rate", "surrogate_value", "update_T", "update_alpha_beta",

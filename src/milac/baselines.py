@@ -12,20 +12,21 @@ from .channel import ChannelSet, reduce_channel
 from .errors import DimensionError, RankDeficientError, check_count, check_positive
 from .optimizer import LN2, SolveReport, SolverConfig, run_fp, sum_rate, user_rates
 
+# the oracle's compass search: sweeps per sample, and the first step on the
+# power sphere as a fraction of sqrt(Pt)
+POLISH_STEPS = 40
+STEP_SIZE = 0.25
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Multi-start budget of the brute-force oracle."""
 
     samples: int = 100_000
-    polish_steps: int = 40
-    step_size: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", check_count("samples", self.samples, 1))
-        object.__setattr__(self, "polish_steps", check_count("polish_steps", self.polish_steps, 0))
-        object.__setattr__(self, "step_size", check_positive("step_size", self.step_size))
 
 
 def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
@@ -119,9 +120,9 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
     p = _abs2(C)
     users = np.arange(K)
     vals = _batch_sum_rate(p[users, users], p.sum(axis=1), noise * (nrm2 / Pt))
-    delta = np.full(cfg.samples, cfg.step_size * np.sqrt(Pt))
+    delta = np.full(cfg.samples, STEP_SIZE * np.sqrt(Pt))
     steps = [sgn * unit for unit in (1.0, 1.0j) for sgn in (1.0, -1.0)]
-    for _ in range(cfg.polish_steps):
+    for _ in range(POLISH_STEPS):
         improved = np.zeros(cfg.samples, dtype=bool)
         for i in range(K):
             for j in range(K):

@@ -130,11 +130,10 @@ def save_channel(path, ch: ChannelSet) -> None:
     matio.save_matrix(path, ch.H)
 
 
-def load_channel(path, sigma=None) -> ChannelSet:
+def load_channel(path) -> ChannelSet:
     """Read a channel matrix file.
 
-    The file format carries H only; sigma defaults to all ones (the
-    simulation default) unless given here.
+    The file format carries H only, so the noise levels are all ones (the
+    simulation default); build a ChannelSet from the loaded H for others.
     """
-    H = matio.load_matrix(path)
-    return ChannelSet(H=H, sigma=sigma)
+    return ChannelSet(H=matio.load_matrix(path))

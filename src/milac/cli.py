@@ -6,9 +6,9 @@ adds iterations.csv) into --out. A setting comes from an explicit flag,
 else a JSON config file, else the mode's default (100 trials, tolerance
 1e-4). Values pass to ExperimentSpec and SolverConfig unchanged, and they
 alone check them, so a config file's counts and seed must be JSON
-integers. The exception is no_timing: it is checked here to be a boolean
-before it is negated into measure_time. MILAC_WORKERS sets the
-worker-pool size.
+integers, not booleans, and a bare L or snr_db is a one-point sweep. The
+exception is no_timing: it is checked here to be a boolean before it is
+negated into measure_time. MILAC_WORKERS sets the worker-pool size.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - set(SETTINGS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key in ("L", "snr_db"):  # a one-point sweep may give a bare value
-        if key in data and not isinstance(data[key], list):
-            data[key] = [data[key]]
     return data
 
 
@@ -119,11 +116,11 @@ def main(argv=None) -> int:
         return 2
     try:
         spec = build_spec(args)
-        result = run_experiment(spec)
+        rows = run_experiment(spec)
     except (MilacError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    print(f"wrote {len(result.rows)} rows to {spec.output_dir}/results.csv")
+    print(f"wrote {len(rows)} rows to {spec.output_dir}/results.csv")
     return 0
 
 

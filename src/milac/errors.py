@@ -4,6 +4,11 @@ checks that raise DimensionError."""
 import math
 import operator
 
+import numpy as np
+
+# True and False are ints to Python, but never a count, a power or an SNR
+BOOLS = (bool, np.bool_)
+
 
 class MilacError(Exception):
     """Base class for all package errors."""
@@ -37,9 +42,10 @@ class NumericalError(MilacError, ArithmeticError):
 
 
 def check_positive(name: str, value) -> float:
-    """value as a float; DimensionError unless it is finite and positive."""
+    """value as a float; DimensionError unless it is finite, positive and
+    not a bool."""
     try:
-        ok = math.isfinite(value) and value > 0
+        ok = not isinstance(value, BOOLS) and math.isfinite(value) and value > 0
     except (TypeError, OverflowError):  # not a real number, or past float range
         ok = False
     if not ok:
@@ -48,11 +54,14 @@ def check_positive(name: str, value) -> float:
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    """value as an int; DimensionError unless it is an integer >= minimum."""
+    """value as an int; DimensionError unless it is an integer >= minimum
+    and not a bool."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, BOOLS):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
     if n < minimum:
         raise DimensionError(f"{name} must be >= {minimum}, got {n}")
     return n

@@ -33,7 +33,7 @@ import numpy as np
 
 from .baselines import solve_full_dim, zero_forcing
 from .channel import generate_rayleigh, reduce_channel
-from .errors import DimensionError, MilacError, check_count, check_positive
+from .errors import BOOLS, DimensionError, MilacError, check_count, check_positive
 from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
@@ -45,17 +45,18 @@ SUMMARY_SCHEMA = "# milac summary schema v1"
 ITER_SCHEMA = "# milac convergence schema v1"
 
 
-def snr_to_power(snr_db: float, sigma: float = 1.0) -> float:
-    """Transmit power for a given transmit SNR, Pt = sigma^2 10^(SNR/10).
+def snr_to_power(snr_db: float) -> float:
+    """Transmit power for a given transmit SNR at unit noise,
+    Pt = 10^(SNR/10).
 
-    Raises DimensionError unless snr_db is a real number and Pt is finite
-    and positive (a NaN SNR, or one beyond about +-3000 dB, where
-    10^(SNR/10) overflows or underflows).
+    Raises DimensionError unless snr_db is a real number, not a bool, and
+    Pt is finite and positive (a NaN SNR, or one beyond about +-3000 dB,
+    where 10^(SNR/10) overflows or underflows).
     """
-    if not isinstance(snr_db, numbers.Real):
+    if not isinstance(snr_db, numbers.Real) or isinstance(snr_db, BOOLS):
         raise DimensionError(f"SNR must be a real number of dB, got {snr_db!r}")
     try:
-        Pt = float(sigma) ** 2 * 10.0 ** (float(snr_db) / 10.0)
+        Pt = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         Pt = math.inf
     return check_positive(f"transmit power at SNR {snr_db} dB", Pt)
@@ -66,10 +67,12 @@ class ExperimentSpec:
     """One sweep: grid of antenna counts and SNR points times trials.
 
     The only check of a sweep's settings: counts and the seed must be
-    integers (a fractional one is refused, not truncated). The solver
-    config acts as a template; its Pt is replaced per SNR point, so every
-    point must be a real number that gives a finite positive Pt. A bad
-    setting is rejected here, before any output file exists.
+    integers (a fractional one or a bool is refused, not truncated). A
+    bare L_values or snr_db_values, a number or a string, is a one-point
+    sweep. The solver config acts as a template; its Pt is replaced per
+    SNR point, so every point must be a real number that gives a finite
+    positive Pt. A bad setting is rejected here, before any output file
+    exists.
     measure_time must be a bool; False writes 0.0 wall times so repeated
     runs produce byte-identical output files.
     """
@@ -88,8 +91,8 @@ class ExperimentSpec:
         if self.mode not in MODES:
             raise DimensionError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         K = check_count("K", self.K, 1)
-        L_values = tuple(check_count(f"L for K={K}", L, K) for L in self.L_values)
-        snr_values = tuple(self.snr_db_values)
+        L_values = tuple(check_count(f"L for K={K}", L, K) for L in _points(self.L_values))
+        snr_values = _points(self.snr_db_values)
         if not L_values or not snr_values:
             raise DimensionError("sweep lists must be non-empty")
         for snr in snr_values:
@@ -102,6 +105,17 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_db_values", snr_values)
         object.__setattr__(self, "trials", check_count("trials", self.trials, 1))
         object.__setattr__(self, "base_seed", check_count("seed", self.base_seed, 0))
+
+
+def _points(values) -> tuple:
+    """A sweep list as a tuple, a bare value as a one-point sweep."""
+    if isinstance(values, (str, bytes)):
+        return (values,)
+    try:
+        points = iter(values)
+    except TypeError:  # not iterable
+        return (values,)
+    return tuple(points)
 
 
 # The row dataclasses below define their CSV files: the header is the field
@@ -129,11 +143,6 @@ class IterationRow:
     architecture: str
     iteration: int
     objective: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -309,8 +318,8 @@ def worker_count() -> int:
     return check_count(WORKERS_ENV, n, 1)
 
 
-def run_experiment(spec: ExperimentSpec) -> SweepResult:
-    """Execute a sweep and write its output files.
+def run_experiment(spec: ExperimentSpec) -> tuple:
+    """Execute a sweep, write its output files and return its rows.
 
     Writes results.csv (one row per architecture per trial per sweep
     point, appended as trials finish), summary.csv (per-point aggregates),
@@ -319,7 +328,8 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     process pool when the MILAC_WORKERS environment variable asks for more
     than one worker, with no more workers than tasks (a one-task sweep
     runs serially); output order is independent of scheduling. The pool
-    module is imported only then.
+    module is imported only then. Returns the tuple of SweepRow written
+    to results.csv, in file order.
 
     Each trial's channel and reduction are computed once per antenna count
     and reused at every SNR point: the trial memo is opened empty on entry
@@ -358,28 +368,28 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
             if iter_rows:  # convergence mode only
                 fiter.write(_lines(iter_rows))
             fres.flush()
-    result = SweepResult(rows=tuple(all_rows))
+    rows = tuple(all_rows)
     with open(out / "summary.csv", "w") as fh:
-        fh.write(_header(SUMMARY_SCHEMA, SummaryRow) + _lines(summarize(result)))
-    return result
+        fh.write(_header(SUMMARY_SCHEMA, SummaryRow) + _lines(summarize(rows)))
+    return rows
 
 
-def summarize(result: SweepResult):
-    """Aggregate rows into per (sweep point, architecture) statistics.
+def summarize(rows):
+    """Aggregate SweepRow rows into per (sweep point, architecture) statistics.
 
     Mean and standard error of sum_rate plus mean wall time, computed over
     the successful trials of each group; groups keep first-seen order.
     """
     groups = {}
-    for row in result.rows:
+    for row in rows:
         key = (row.mode, row.L, row.K, row.snr_db, row.architecture)
         groups.setdefault(key, []).append(row)
     out = []
     for key, group in groups.items():
-        rows = [r for r in group if np.isfinite(r.sum_rate)]
-        n = len(rows)
-        rates = np.array([r.sum_rate for r in rows]) if n else np.array([np.nan])
-        walls = np.array([r.wall_time for r in rows]) if n else np.array([np.nan])
+        ok = [r for r in group if np.isfinite(r.sum_rate)]
+        n = len(ok)
+        rates = np.array([r.sum_rate for r in ok]) if n else np.array([np.nan])
+        walls = np.array([r.wall_time for r in ok]) if n else np.array([np.nan])
         stderr = float(np.std(rates, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         # key holds the first five fields, mode through architecture
         out.append(SummaryRow(*key, trials=n, mean_sum_rate=float(np.mean(rates)),

@@ -42,8 +42,9 @@ class DigitalBeamformer:
         Pd = np.asarray(self.Pd, dtype=np.complex128)
         if Pd.ndim != 2:
             raise DimensionError(f"Pd must be 2-D, got ndim={Pd.ndim}")
-        if Pd.shape[0] < Pd.shape[1]:
-            raise DimensionError(f"need L >= K, got shape {Pd.shape}")
+        L, K = Pd.shape
+        if not (L >= K >= 1):
+            raise DimensionError(f"need L >= K >= 1, got L={L}, K={K}")
         if not np.all(np.isfinite(Pd)):
             raise DimensionError("Pd has non-finite entries")
         object.__setattr__(self, "Pt", check_positive("Pt", self.Pt))
@@ -169,20 +170,20 @@ def _check_diag_nonneg(S, K: int) -> np.ndarray:
     return np.diag(d)
 
 
-def _amplitudes(s: np.ndarray, p_amp: float) -> np.ndarray:
-    """Optimal amplifier amplitudes for the singular values s (real and
-    nonnegative).
+def _amplitudes(s: np.ndarray, Pt: float) -> np.ndarray:
+    """Amplifier amplitudes 4s for the singular values s of a beamformer
+    with power budget Pt.
 
-    Minimizes ||diag(s) - P^(1/2)/4||_F^2 over nonnegative diagonal P^(1/2)
-    with trace(P) <= p_amp. The unconstrained optimum is 4s; when its power
-    sum(16 s^2) exceeds the budget the whole diagonal is scaled down by
-    sqrt(p_amp / sum(16 s^2)).
+    Their power sum(16 s^2) is 16 trace(Pd Pd^H), which DigitalBeamformer
+    lets exceed 16 Pt by a relative 1e-9 of rounding; the diagonal is then
+    scaled down by sqrt(16 Pt / sum(16 s^2)), so the amplifiers never draw
+    more than 16 Pt.
     """
-    check_positive("p_amp", p_amp)
+    budget = 16.0 * Pt
     gain = 4.0 * s
     used = float(np.sum(gain ** 2))
-    if used > p_amp:
-        gain = gain * np.sqrt(p_amp / used)
+    if used > budget:
+        gain = gain * np.sqrt(budget / used)
     return gain
 
 
@@ -209,7 +210,7 @@ def _second_layer(V: np.ndarray, tau: np.ndarray, Ur: np.ndarray) -> FactoredSca
     return FactoredScattering(V=V, T=T, Ur=Ur)
 
 
-def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoLayerSolution:
+def map_digital_to_milac(d: DigitalBeamformer) -> TwoLayerSolution:
     """Realize a digital beamformer on the two-layer analog architecture.
 
     Takes the thin SVD Pd = U1 S V^H, as one Householder QR Pd = Q [R; 0]
@@ -223,11 +224,8 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     in factored form and certified from its factors, so the construction
     and the lossless-reciprocal checks of the resulting TwoLayerSolution
     cost O(L K^2) with no (L+K) x (L+K) array; sol.Phi.S forms the dense
-    matrix on first read.
-
-    amp_budget bounds trace(P) of the amplifier power; it defaults to
-    16 * Pt, the exact power the construction needs, so radiated power
-    equals trace(Pd Pd^H). A smaller budget uniformly shrinks G.
+    matrix on first read. The amplifier power trace(P) is
+    16 trace(Pd Pd^H), capped at 16 Pt (see _amplitudes).
     """
     K = d.K
     h, tau = np.linalg.qr(d.Pd, mode="raw")
@@ -242,10 +240,9 @@ def map_digital_to_milac(d: DigitalBeamformer, amp_budget: float = None) -> TwoL
     Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
     Theta[:K, K:] = Vh.T
     Theta[K:, :K] = Vh
-    budget = 16.0 * d.Pt if amp_budget is None else amp_budget
     return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
                             Phi=_second_layer(V, tau, Ur),
-                            Psqrt=np.diag(_amplitudes(s, budget)))
+                            Psqrt=np.diag(_amplitudes(s, d.Pt)))
 
 
 def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1e-10) -> PhiFeasibilityReport:

@@ -16,27 +16,14 @@ from .errors import DimensionError, NotRealizableError, check_count, check_posit
 
 COND_LIMIT = 1e12
 RESIDUE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ReferenceImpedance:
-    """Port reference impedance in ohms (treated as real and identical at
-    every port)."""
-
-    z0: float = 50.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z0", check_positive("z0", self.z0))
-
-    @property
-    def y0(self) -> float:
-        return 1.0 / self.z0
+Z0 = 50.0  # reference impedance in ohms, real and the same at every port
 
 
 def _square(M, name: str) -> np.ndarray:
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionError(
+            f"{name} must be square with at least one port, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DimensionError(f"{name} has non-finite entries")
     return M
@@ -212,16 +199,17 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
     return Y
 
 
-def scattering_from_susceptance(B, zref: ReferenceImpedance = ReferenceImpedance()) -> ScatteringMatrix:
+def scattering_from_susceptance(B) -> ScatteringMatrix:
     """Scattering matrix of the susceptive network Y = jB.
 
-    Computes S = (I + j z0 B)^(-1) (I - j z0 B). The result is unitary and
-    symmetric up to rounding. Raises NotRealizableError when I + j z0 B is
-    ill-conditioned (condition number at or above COND_LIMIT).
+    Computes S = (I + j z0 B)^(-1) (I - j z0 B) at z0 = Z0. The result is
+    unitary and symmetric up to rounding. Raises NotRealizableError when
+    I + j z0 B is ill-conditioned (condition number at or above
+    COND_LIMIT).
     """
     if not isinstance(B, SusceptanceMatrix):
         B = SusceptanceMatrix(B=np.asarray(B))
-    M = 1j * zref.z0 * B.B
+    M = 1j * Z0 * B.B
     A = np.eye(B.n) + M
     if np.linalg.cond(A) >= COND_LIMIT:
         raise NotRealizableError("I + j z0 B is numerically singular")
@@ -229,8 +217,9 @@ def scattering_from_susceptance(B, zref: ReferenceImpedance = ReferenceImpedance
     return ScatteringMatrix(S=S)
 
 
-def susceptance_from_scattering(S: ScatteringMatrix, zref: ReferenceImpedance = ReferenceImpedance()) -> SusceptanceMatrix:
-    """Recover the real symmetric B with S = (I + j z0 B)^(-1)(I - j z0 B).
+def susceptance_from_scattering(S: ScatteringMatrix) -> SusceptanceMatrix:
+    """Recover the real symmetric B with S = (I + j z0 B)^(-1)(I - j z0 B),
+    z0 = Z0.
 
     The input must be lossless and reciprocal to within RESIDUE_TOL, and a
     scattering matrix with an eigenvalue at -1 (I + S singular) has no
@@ -250,7 +239,7 @@ def susceptance_from_scattering(S: ScatteringMatrix, zref: ReferenceImpedance = 
     A = np.eye(S.n) + S.S
     if np.linalg.cond(A) >= COND_LIMIT:
         raise NotRealizableError("I + S is numerically singular (eigenvalue at -1)")
-    Braw = np.linalg.solve(A, np.eye(S.n) - S.S) / (1j * zref.z0)
+    Braw = np.linalg.solve(A, np.eye(S.n) - S.S) / (1j * Z0)
     scale = max(1.0, np.max(np.abs(Braw)))
     if np.max(np.abs(Braw.imag)) > RESIDUE_TOL * scale:
         raise NotRealizableError("recovered susceptance has a large imaginary part")

@@ -87,10 +87,10 @@ def test_criterion_2_two_layer_equals_digital_at_scale(capsys, tmp_path):
                 snr_db_values=(0.0, 10.0, 20.0), trials=100,
                 base_seed=0, solver=SolverConfig(),
                 output_dir=str(tmp_path / f"K{K}"), measure_time=False)
-            result = run_experiment(spec)
-            reduced = {(r.snr_db, r.trial): r.sum_rate for r in result.rows
+            rows = run_experiment(spec)
+            reduced = {(r.snr_db, r.trial): r.sum_rate for r in rows
                        if r.architecture == "digital_reduced"}
-            analog = [(r.snr_db, r.trial, r.sum_rate) for r in result.rows
+            analog = [(r.snr_db, r.trial, r.sum_rate) for r in rows
                       if r.architecture == "two_layer"]
             assert len(analog) == 300
             for snr_db, trial, rate in analog:

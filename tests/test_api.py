@@ -1,6 +1,7 @@
 """The package's public surface: its exports, its error classes and the
 shared scalar argument checks."""
 
+import dataclasses
 import inspect
 import types
 
@@ -27,10 +28,27 @@ def test_all_is_explicit_and_resolves():
     for name in milac.__all__:
         obj = getattr(milac, name)
         assert not isinstance(obj, types.ModuleType), name
-    # names that repeated another public path are gone
-    for name in ("effective_beamformer", "sinr", "power_step", "AdmittanceMatrix"):
+    assert len(milac.__all__) == 50
+    # names that repeated another public path, or wrapped a constant, are gone
+    for name in ("effective_beamformer", "sinr", "power_step", "AdmittanceMatrix",
+                 "ReferenceImpedance", "SweepResult"):
         assert not hasattr(milac, name) and not hasattr(milac.optimizer, name)
         assert not hasattr(milac.mapping, name) and not hasattr(milac.network, name)
+        assert not hasattr(milac.harness, name)
+
+
+def test_constant_settings_have_no_parameter():
+    # settings no caller changes are module constants, not parameters
+    removed = {
+        milac.scattering_from_susceptance: "zref",
+        milac.susceptance_from_scattering: "zref",
+        milac.map_digital_to_milac: "amp_budget",
+        milac.snr_to_power: "sigma",
+        milac.load_channel: "sigma",
+    }
+    for fn, name in removed.items():
+        assert name not in inspect.signature(fn).parameters, fn.__name__
+    assert [f.name for f in dataclasses.fields(milac.OracleConfig)] == ["samples", "seed"]
 
 
 def test_error_classes():
@@ -50,7 +68,8 @@ def test_check_positive():
     assert check_positive("x", 2) == 2.0 and type(check_positive("x", 2)) is float
     assert check_positive("x", np.float32(0.5)) == 0.5
     assert check_positive("x", 1e-300) == 1e-300
-    for bad in (0, 0.0, -1.0, np.nan, np.inf, -np.inf, "1", b"1", None, 1j, [1.0], 10**400):
+    for bad in (0, 0.0, -1.0, np.nan, np.inf, -np.inf, "1", b"1", None, 1j, [1.0], 10**400,
+                True, np.True_):
         with pytest.raises(DimensionError, match="^x must be finite and positive, got "):
             check_positive("x", bad)
 
@@ -60,6 +79,6 @@ def test_check_count():
     assert check_count("n", np.int64(0), 0) == 0 and type(check_count("n", np.int64(0), 0)) is int
     with pytest.raises(DimensionError, match="^n must be >= 1, got 0$"):
         check_count("n", 0, 1)
-    for bad in (2.5, 2.0, np.nan, np.inf, "3", None, np.array([1, 2])):
+    for bad in (2.5, 2.0, np.nan, np.inf, "3", None, np.array([1, 2]), True, False, np.True_):
         with pytest.raises(DimensionError, match="^n must be an integer, got "):
             check_count("n", bad, 0)

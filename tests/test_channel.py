@@ -167,8 +167,6 @@ def test_save_load_round_trip(tmp_path):
     out = load_channel(path)
     assert np.array_equal(out.H, ch.H)
     assert np.array_equal(out.sigma, np.ones(2))
-    custom = load_channel(path, sigma=np.array([2.0, 3.0]))
-    assert np.array_equal(custom.sigma, np.array([2.0, 3.0]))
 
 
 def test_arrays_read_only():

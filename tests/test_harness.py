@@ -17,7 +17,6 @@ from milac import (
     ExperimentSpec,
     RankDeficientError,
     SolverConfig,
-    SweepResult,
     SweepRow,
     generate_rayleigh,
     run_experiment,
@@ -47,8 +46,8 @@ def small_spec(tmp_path, mode="snr_sweep", **kw):
     return ExperimentSpec(**base)
 
 
-def rows_by_arch(result, arch):
-    return [r for r in result.rows if r.architecture == arch]
+def rows_by_arch(rows, arch):
+    return [r for r in rows if r.architecture == arch]
 
 
 def test_snr_to_power():
@@ -62,7 +61,7 @@ def test_snr_to_power():
             snr_to_power(snr)
     assert snr_to_power(np.float32(10.0)) == pytest.approx(10.0)
     assert snr_to_power(np.int64(20)) == pytest.approx(100.0)
-    for bad in (None, "10", [1.0], 1j):
+    for bad in (None, "10", [1.0], 1j, True, False, np.True_):
         with pytest.raises(DimensionError, match="SNR must be a real number"):
             snr_to_power(bad)
 
@@ -88,7 +87,8 @@ def test_spec_validation():
     # counts must be integers: a fractional one is refused, not truncated
     for kw, name in ((dict(L_values=(32.7,)), "L"), (dict(L_values=(np.nan,)), "L"),
                      (dict(trials=2.5), "trials"), (dict(trials="3"), "trials"),
-                     (dict(K=2.5), "K"), (dict(K=4.0), "K")):
+                     (dict(K=2.5), "K"), (dict(K=4.0), "K"), (dict(K=True), "K"),
+                     (dict(trials=True), "trials"), (dict(L_values=(True, 2), K=1), "L")):
         with pytest.raises(DimensionError, match=f"^{name}.* must be an integer"):
             ExperimentSpec(mode="snr_sweep", **kw)
     spec = ExperimentSpec(mode="snr_sweep", L_values=(np.int64(8),), K=np.int32(2),
@@ -101,7 +101,7 @@ def test_spec_validation():
             ExperimentSpec(mode="snr_sweep", snr_db_values=(0.0, snr))
     ExperimentSpec(mode="snr_sweep", snr_db_values=(-300.0, 300.0))
     # an SNR point that is not a real number is refused, not converted
-    for snr in (None, "ten", "10", [1], 1j):
+    for snr in (None, "ten", "10", [1], 1j, True):
         with pytest.raises(DimensionError, match="SNR must be a real number"):
             ExperimentSpec(mode="snr_sweep", snr_db_values=(0.0, snr))
     assert ExperimentSpec(mode="snr_sweep", snr_db_values=(np.int64(5),)).snr_db_values == (5.0,)
@@ -110,7 +110,21 @@ def test_spec_validation():
             ExperimentSpec(mode="snr_sweep", measure_time=flag)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_spec_takes_bare_sweep_values():
+    # a bare number or string is a one-point sweep, as in a config file
+    spec = ExperimentSpec(mode="snr_sweep", L_values=8, K=2, snr_db_values=np.float64(5))
+    assert (spec.L_values, spec.snr_db_values) == ((8,), (5.0,))
+    assert ExperimentSpec(mode="snr_sweep", snr_db_values=10).snr_db_values == (10.0,)
+    # a string is one point, not a sequence of characters
+    with pytest.raises(DimensionError, match="^SNR must be a real number of dB, got '10'$"):
+        ExperimentSpec(mode="snr_sweep", snr_db_values="10")
+    with pytest.raises(DimensionError, match="^L for K=4 must be an integer, got '32'$"):
+        ExperimentSpec(mode="snr_sweep", L_values="32")
+    with pytest.raises(DimensionError, match="^L for K=4 must be an integer, got None$"):
+        ExperimentSpec(mode="snr_sweep", L_values=None)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", False])
 def test_spec_rejects_bad_seed_before_writing(tmp_path, seed):
     with pytest.raises(DimensionError, match="^seed must be"):
         run_experiment(small_spec(tmp_path, base_seed=seed))
@@ -137,17 +151,17 @@ def test_files_round_trip(tmp_path, mode):
     # measured wall times give full-length floats to check
     spec = small_spec(tmp_path, mode=mode, snr_db_values=(0.0, 10.0), trials=2,
                       measure_time=True)
-    result = run_experiment(spec)
+    rows = run_experiment(spec)
     out = tmp_path / "out"
-    assert read_table(out / "results.csv", RESULT_SCHEMA, SweepRow) == list(result.rows)
+    assert read_table(out / "results.csv", RESULT_SCHEMA, SweepRow) == list(rows)
     assert (read_table(out / "summary.csv", SUMMARY_SCHEMA, SummaryRow)
-            == summarize(result))
+            == summarize(rows))
     if mode != "convergence":
         assert not (out / "iterations.csv").exists()
         return
     iters = read_table(out / "iterations.csv", ITER_SCHEMA, IterationRow)
     records = [json.loads(line) for line in (out / "solves.jsonl").read_text().splitlines()]
-    assert len(records) == len(result.rows) == 4
+    assert len(records) == len(rows) == 4
     expected = [IterationRow(mode=mode, L=rec["L"], K=rec["K"], snr_db=rec["snr_db"],
                              trial=rec["trial"], architecture=rec["label"],
                              iteration=i, objective=obj)
@@ -157,20 +171,20 @@ def test_files_round_trip(tmp_path, mode):
 
 def test_row_count_and_schema(tmp_path):
     spec = small_spec(tmp_path, snr_db_values=(0.0, 10.0))
-    result = run_experiment(spec)
-    assert len(result.rows) == 1 * 2 * 3 * len(ARCHITECTURES)
+    rows = run_experiment(spec)
+    assert len(rows) == 1 * 2 * 3 * len(ARCHITECTURES)
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert lines[0] == RESULT_SCHEMA
     assert lines[1] == ",".join(f.name for f in fields(SweepRow))
-    assert len(lines) == 2 + len(result.rows)
+    assert len(lines) == 2 + len(rows)
 
 
 def test_theorem_check_pairing(tmp_path):
     spec = small_spec(tmp_path, mode="theorem_check", L_values=(16,), K=4,
                       snr_db_values=(0.0, 10.0), trials=4)
-    result = run_experiment(spec)
-    reduced = rows_by_arch(result, "digital_reduced")
-    analog = rows_by_arch(result, "two_layer")
+    rows = run_experiment(spec)
+    reduced = rows_by_arch(rows, "digital_reduced")
+    analog = rows_by_arch(rows, "two_layer")
     assert len(reduced) == len(analog) == 8
     for r, a in zip(reduced, analog):
         assert (r.snr_db, r.trial) == (a.snr_db, a.trial)
@@ -179,25 +193,25 @@ def test_theorem_check_pairing(tmp_path):
 
 def test_zero_forcing_never_beats_solver(tmp_path):
     spec = small_spec(tmp_path, trials=4)
-    result = run_experiment(spec)
+    rows = run_experiment(spec)
     reduced = {(r.snr_db, r.trial): r.sum_rate
-               for r in rows_by_arch(result, "digital_reduced")}
-    for r in rows_by_arch(result, "zero_forcing"):
+               for r in rows_by_arch(rows, "digital_reduced")}
+    for r in rows_by_arch(rows, "zero_forcing"):
         assert r.sum_rate <= reduced[(r.snr_db, r.trial)] + 1e-6
 
 
 def test_full_dim_close_to_reduced(tmp_path):
     spec = small_spec(tmp_path, trials=3)
-    result = run_experiment(spec)
-    reduced = {r.trial: r.sum_rate for r in rows_by_arch(result, "digital_reduced")}
-    for r in rows_by_arch(result, "digital_full"):
+    rows = run_experiment(spec)
+    reduced = {r.trial: r.sum_rate for r in rows_by_arch(rows, "digital_reduced")}
+    for r in rows_by_arch(rows, "digital_full"):
         assert r.sum_rate == pytest.approx(reduced[r.trial], rel=1e-3)
 
 
 def test_convergence_mode_iterations(tmp_path):
     spec = small_spec(tmp_path, mode="convergence", trials=2)
-    result = run_experiment(spec)
-    assert all(r.architecture == "digital_reduced" for r in result.rows)
+    rows = run_experiment(spec)
+    assert all(r.architecture == "digital_reduced" for r in rows)
     lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
     assert lines[0] == ITER_SCHEMA
     by_trial = {}
@@ -223,8 +237,8 @@ def test_byte_identical_rerun(tmp_path):
 def test_paired_seeding_across_sweep_points(tmp_path):
     # the same trial index draws the same channel at every SNR point
     spec = small_spec(tmp_path, snr_db_values=(0.0, 20.0), trials=2)
-    result = run_experiment(spec)
-    zf = rows_by_arch(result, "zero_forcing")
+    rows = run_experiment(spec)
+    zf = rows_by_arch(rows, "zero_forcing")
     low = {r.trial: r.sum_rate for r in zf if r.snr_db == 0.0}
     high = {r.trial: r.sum_rate for r in zf if r.snr_db == 20.0}
     # identical channel => zero-forcing directions identical => rates ordered
@@ -241,18 +255,18 @@ def test_failure_isolation(tmp_path, monkeypatch, capsys, caplog):
     monkeypatch.setattr(harness, "zero_forcing", boom)
     spec = small_spec(tmp_path, trials=2)
     with caplog.at_level(logging.WARNING, logger="milac.harness"):
-        result = run_experiment(spec)
+        rows = run_experiment(spec)
     # one warning per failed run, naming its architecture and cell
     logged = [rec.getMessage() for rec in caplog.records if rec.name == "milac.harness"]
     assert logged == [f"zero_forcing failed at L=8 snr=10.0 trial={t}: synthetic failure"
                       for t in range(2)]
     assert all(rec.levelno == logging.WARNING for rec in caplog.records)
     assert capsys.readouterr().err == ""
-    zf = rows_by_arch(result, "zero_forcing")
+    zf = rows_by_arch(rows, "zero_forcing")
     assert len(zf) == 2
     for r in zf:
         assert np.isnan(r.sum_rate) and r.iterations == -1
-    others = [r for r in result.rows if r.architecture != "zero_forcing"]
+    others = [r for r in rows if r.architecture != "zero_forcing"]
     assert all(np.isfinite(r.sum_rate) for r in others)
     records = [json.loads(line) for line in
                (tmp_path / "out" / "solves.jsonl").read_text().splitlines()]
@@ -265,7 +279,7 @@ def test_summarize_single_row():
     row = SweepRow(mode="snr_sweep", L=8, K=2, snr_db=10.0, trial=0,
                    architecture="zero_forcing", sum_rate=3.5, iterations=0,
                    wall_time=0.25)
-    out = summarize(SweepResult(rows=(row,)))
+    out = summarize((row,))
     assert len(out) == 1
     assert out[0].mean_sum_rate == 3.5
     assert out[0].stderr_sum_rate == 0.0
@@ -280,7 +294,7 @@ def test_summarize_identical_rows():
     twin = SweepRow(mode="snr_sweep", L=8, K=2, snr_db=10.0, trial=1,
                     architecture="zero_forcing", sum_rate=3.5, iterations=0,
                     wall_time=0.0)
-    out = summarize(SweepResult(rows=(row, twin)))
+    out = summarize((row, twin))
     assert len(out) == 1
     assert out[0].trials == 2
     assert out[0].stderr_sum_rate == 0.0
@@ -293,7 +307,7 @@ def test_summarize_skips_failed_rows():
     bad = SweepRow(mode="snr_sweep", L=8, K=2, snr_db=10.0, trial=1,
                    architecture="zero_forcing", sum_rate=float("nan"),
                    iterations=-1, wall_time=0.0)
-    out = summarize(SweepResult(rows=(good, bad)))
+    out = summarize((good, bad))
     assert out[0].trials == 1
     assert out[0].mean_sum_rate == 2.0
 
@@ -317,7 +331,7 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     serial = run_experiment(small_spec(tmp_path / "serial", **grid))
     monkeypatch.setenv("MILAC_WORKERS", "2")
     pooled = run_experiment(small_spec(tmp_path / "pool", **grid))
-    assert serial.rows == pooled.rows
+    assert serial == pooled
     for name in ("results.csv", "solves.jsonl", "summary.csv"):
         a = (tmp_path / "serial" / "out" / name).read_bytes()
         b = (tmp_path / "pool" / "out" / name).read_bytes()
@@ -369,7 +383,7 @@ def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
     monkeypatch.setenv("MILAC_WORKERS", "8")
     pooled = run_experiment(small_spec(tmp_path / "three", trials=3))
     assert pools == [3]
-    assert pooled.rows == serial.rows
+    assert pooled == serial
     run_experiment(small_spec(tmp_path / "one", trials=1))
     assert pools == [3]  # a one-task sweep takes the serial path
 
@@ -414,11 +428,11 @@ def test_sweep_draws_and_reduces_each_trial_once(tmp_path, counted, mode):
 
     draws, reductions = counted
     grid = dict(mode=mode, L_values=(8, 10), snr_db_values=(0.0, 10.0, 20.0), trials=2)
-    result = run_experiment(small_spec(tmp_path / "a", **grid))
+    rows = run_experiment(small_spec(tmp_path / "a", **grid))
     once = [(L, seed) for L in (8, 10) for seed in (0, 1)]
     assert sorted(draws) == once and sorted(reductions) == once
     assert harness._trials is None
-    assert all(np.isfinite(r.sum_rate) for r in result.rows)
+    assert all(np.isfinite(r.sum_rate) for r in rows)
     # a second sweep in the same process draws and reduces again
     run_experiment(small_spec(tmp_path / "b", **grid))
     assert sorted(draws) == sorted(once * 2) and sorted(reductions) == sorted(once * 2)
@@ -462,10 +476,10 @@ def test_failed_reduction_fails_its_trial_at_every_snr_point(tmp_path, counted, 
 
     monkeypatch.setattr(harness, "reduce_channel", failing_reduce)
     snrs = (0.0, 10.0, 20.0)
-    result = run_experiment(small_spec(tmp_path, snr_db_values=snrs, trials=2))
+    rows = run_experiment(small_spec(tmp_path, snr_db_values=snrs, trials=2))
     # the failed reduction is not kept: trial 1 retries it at each point
     assert sorted(reductions) == [(8, 0)] + [(8, 1)] * len(snrs)
-    for row in result.rows:
+    for row in rows:
         failed = row.trial == 1 and row.architecture in ("digital_reduced", "two_layer")
         assert np.isnan(row.sum_rate) == failed, row
         assert (row.iterations == -1) == failed, row
@@ -494,9 +508,9 @@ def test_two_layer_wall_time_excludes_reduced_solve(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "solve_psla", slow_solve)
     spec = small_spec(tmp_path, mode="theorem_check", trials=1, measure_time=True)
-    result = run_experiment(spec)
-    assert rows_by_arch(result, "digital_reduced")[0].wall_time >= 0.05
-    assert rows_by_arch(result, "two_layer")[0].wall_time < 0.05
+    rows = run_experiment(spec)
+    assert rows_by_arch(rows, "digital_reduced")[0].wall_time >= 0.05
+    assert rows_by_arch(rows, "two_layer")[0].wall_time < 0.05
 
 
 def test_two_layer_fails_with_reduced_error(tmp_path, monkeypatch):
@@ -584,7 +598,8 @@ def test_cli_rejects_fractional_config(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, named", [
     ("K", 2.5, "K"), ("trials", 1.9, "trials"), ("L", [8.7], "L for K=4"),
     ("L", 8.7, "L for K=4"), ("seed", 1.5, "seed"), ("seed", "3", "seed"),
-    ("max_iter", 3.5, "max_outer"),
+    ("max_iter", 3.5, "max_outer"), ("K", True, "K"), ("trials", True, "trials"),
+    ("L", [True, 2], "L for K=4"), ("seed", False, "seed"), ("max_iter", True, "max_outer"),
 ])
 def test_cli_config_names_bad_count(tmp_path, capsys, key, value, named):
     cfg_path = tmp_path / "cfg.json"
@@ -595,7 +610,26 @@ def test_cli_config_names_bad_count(tmp_path, capsys, key, value, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("snr", [None, "ten", [[1]]])
+def test_cli_config_bare_sweep_values(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 8, "K": 2, "snr_db": 5, "trials": 1}))
+    out = tmp_path / "run"
+    assert main(["theorem-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[2:]]
+    assert [(r[1], r[3]) for r in rows] == [("8", "5.0")] * 2
+
+
+def test_cli_rejects_boolean_config_values(tmp_path, capsys):
+    # JSON true is not a number: refused, not read as 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": True, "K": True, "L": [True, 2], "snr_db": [True]}))
+    out = tmp_path / "run"
+    assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: K must be an integer, got True\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", [None, "ten", [[1]], [True]])
 def test_cli_rejects_non_number_snr_in_config(tmp_path, capsys, snr):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"snr_db": snr, "trials": 1}))

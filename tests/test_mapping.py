@@ -91,9 +91,24 @@ def test_trace_identity_and_budget():
     sol = map_digital_to_milac(d)
     trace_P = np.trace(sol.Psqrt @ sol.Psqrt).real
     assert trace_P == pytest.approx(16 * 3.0, rel=1e-9)
-    # binding budget rescales the gains onto the budget sphere
-    tight = map_digital_to_milac(d, amp_budget=8.0)
-    assert np.trace(tight.Psqrt @ tight.Psqrt).real == pytest.approx(8.0, rel=1e-9)
+
+
+def test_gains_capped_at_budget_for_power_within_rounding():
+    # DigitalBeamformer accepts trace(Pd Pd^H) up to Pt (1 + 1e-9); the
+    # gains 4 S would then draw more than 16 Pt, and are scaled onto it
+    Pt = 1.25
+    Pd = np.diag([1.0, 0.5]) * np.sqrt(1 + 8e-10)
+    sol = map_digital_to_milac(DigitalBeamformer(Pd=Pd, Pt=Pt))
+    gains = np.diag(sol.Psqrt)
+    assert np.sum(gains**2) == pytest.approx(16 * Pt, rel=1e-15, abs=0)
+    assert np.sum(gains**2) < np.sum((4 * np.diag(Pd).real) ** 2)
+    assert np.allclose(gains, [4.0, 2.0], rtol=1e-9, atol=0)
+
+
+def test_beamformer_needs_a_column():
+    for shape in ((3, 0), (0, 0)):
+        with pytest.raises(DimensionError, match=r"^need L >= K >= 1, got L=\d, K=0$"):
+            DigitalBeamformer(Pd=np.zeros(shape), Pt=1.0)
 
 
 def test_dimension_error_wide_input():
@@ -156,20 +171,13 @@ def test_phi_feasibility_rejects_identity_block():
 
 
 def test_power_step_cases():
-    # gains are 4 S while their power 16 trace(S^2) fits the budget, and
-    # are scaled down uniformly onto it otherwise
+    # gains are 4 S, whose power 16 trace(S^2) fits the budget 16 Pt
     d = DigitalBeamformer(Pd=np.diag([1.0, 0.5]), Pt=1.25)
-    for budget in (None, 16 * 1.25):
-        sol = map_digital_to_milac(d, amp_budget=budget)
-        assert np.allclose(sol.Psqrt, np.diag([4.0, 2.0]), atol=1e-12)
-    one = DigitalBeamformer(Pd=np.eye(1), Pt=1.0)
-    assert np.allclose(map_digital_to_milac(one, amp_budget=4.0).Psqrt, [[2.0]], atol=1e-12)
+    assert np.allclose(map_digital_to_milac(d).Psqrt, np.diag([4.0, 2.0]), atol=1e-12)
     zero = DigitalBeamformer(Pd=np.zeros((2, 2)), Pt=1.0)
-    assert np.allclose(map_digital_to_milac(zero, amp_budget=1.0).Psqrt, 0.0, atol=0)
-    for budget in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(DimensionError, match="p_amp must be finite and positive"):
-            map_digital_to_milac(one, amp_budget=budget)
+    assert np.allclose(map_digital_to_milac(zero).Psqrt, 0.0, atol=0)
     # stored gains must be real and nonnegative
+    one = DigitalBeamformer(Pd=np.eye(1), Pt=1.0)
     sol = map_digital_to_milac(one)
     with pytest.raises(DimensionError, match="negative amplifier gain"):
         TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi, Psqrt=np.diag([-1.0]))

@@ -11,7 +11,6 @@ from milac import (
     DimensionError,
     FactoredScattering,
     NotRealizableError,
-    ReferenceImpedance,
     ScatteringMatrix,
     SusceptanceMatrix,
     admittance_from_components,
@@ -21,8 +20,7 @@ from milac import (
     scattering_from_susceptance,
     susceptance_from_scattering,
 )
-
-Z0 = ReferenceImpedance()
+from milac.network import Z0
 
 
 def random_susceptance(n, seed, scale=1.0):
@@ -32,11 +30,19 @@ def random_susceptance(n, seed, scale=1.0):
 
 
 def test_reference_impedance():
-    assert Z0.z0 == 50.0
-    assert Z0.y0 == pytest.approx(1 / 50.0)
-    for z0 in (0.0, -50.0, np.nan, np.inf):
-        with pytest.raises(DimensionError, match="z0 must be finite and positive"):
-            ReferenceImpedance(z0=z0)
+    # one real reference impedance at every port of both layers
+    assert Z0 == 50.0
+
+
+def test_zero_port_matrices_rejected():
+    empty = np.zeros((0, 0))
+    for build in (lambda: SusceptanceMatrix(B=empty), lambda: ScatteringMatrix(S=empty),
+                  lambda: check_lossless_reciprocal(empty),
+                  lambda: scattering_from_susceptance(empty),
+                  lambda: susceptance_from_scattering(empty),
+                  lambda: beamformer_from_scattering(empty, 0, 0)):
+        with pytest.raises(DimensionError, match="at least one port, got shape \\(0, 0\\)"):
+            build()
 
 
 def test_susceptance_requires_symmetry():
@@ -94,7 +100,7 @@ def test_scattering_open_network():
 
 def test_scattering_scalar_case():
     # B = (1/Z0) I gives S = (1-j)/(1+j) I = -j I
-    B = SusceptanceMatrix(B=np.eye(2) / Z0.z0)
+    B = SusceptanceMatrix(B=np.eye(2) / Z0)
     S = scattering_from_susceptance(B)
     assert np.allclose(S.S, -1j * np.eye(2), atol=1e-14)
 
@@ -114,7 +120,7 @@ def test_susceptance_from_identity():
 
 def test_susceptance_from_scalar_case():
     B = susceptance_from_scattering(ScatteringMatrix(S=-1j * np.eye(2)))
-    assert np.allclose(B.B, np.eye(2) / Z0.z0, atol=1e-14)
+    assert np.allclose(B.B, np.eye(2) / Z0, atol=1e-14)
 
 
 def test_susceptance_swap_not_realizable():
