@@ -1,16 +1,24 @@
 """Validation references for the reduced solver: the same fractional
 programming loop run in full antenna dimension, a zero-forcing baseline,
-and an exhaustive-search oracle for tiny instances."""
+and an exhaustive-search oracle for tiny instances.
+
+zero_forcing keeps each channel's unit-norm beam directions in a private
+cache weakly keyed by its ChannelSet, which is frozen, so the directions
+are computed at a channel's first call and reused at every power. An
+entry lives exactly as long as its ChannelSet; a rank-deficient channel
+is never cached and raises at every call.
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, reduce_channel
 from .errors import DimensionError, RankDeficientError, check_count, check_positive
-from .optimizer import LN2, SolveReport, SolverConfig, run_fp, sum_rate, user_rates
+from .optimizer import LN2, SolveReport, SolverConfig, run_fp
 
 # the oracle's compass search: sweeps per sample, and the first step on the
 # power sphere as a fraction of sqrt(Pt)
@@ -27,6 +35,7 @@ class OracleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", check_count("samples", self.samples, 1))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
@@ -36,11 +45,11 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     reduction; used to validate that the reduction loses nothing. The
     L x K iterate is reported in the Pd field and T_final is None.
     """
-    T, history, iterations, wall, stop_reason = run_fp(ch.H, ch.sigma, cfg, init=init)
+    T, history, iterations, wall, stop_reason, rates = run_fp(ch.H, ch.sigma, cfg, init=init)
     return SolveReport(
         T_final=None,
         Pd=T,
-        rates=user_rates(ch.H, T, ch.sigma),
+        rates=rates,
         sum_rate=float(history[-1]),
         iterations=iterations,
         objective_history=history,
@@ -49,21 +58,32 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     )
 
 
+# ChannelSet -> read-only unit-norm columns of H (H^H H)^(-1); see the
+# module docstring
+_ZF_CACHE = weakref.WeakKeyDictionary()
+
+
 def zero_forcing(ch: ChannelSet, Pt: float) -> np.ndarray:
     """Pseudo-inverse precoder with equal per-user power.
 
     Beam directions are the columns of H (H^H H)^(-1), which null all
     inter-user interference; each is scaled to power Pt/K. Pt must be
-    finite and positive.
+    finite and positive. The normalized directions are computed once per
+    ChannelSet and reused at every Pt (see the module docstring).
     """
     Pt = check_positive("Pt", Pt)
-    H = ch.H
-    gram = H.conj().T @ H
-    if np.linalg.cond(gram) >= 1e12:
-        raise RankDeficientError("channel Gram matrix is numerically singular")
-    D = np.linalg.solve(gram.conj().T, H.conj().T).conj().T  # H (H^H H)^(-1)
-    norms = np.linalg.norm(D, axis=0)
-    return np.sqrt(Pt / ch.K) * (D / norms[None, :])
+    Dn = _ZF_CACHE.get(ch)
+    if Dn is None:
+        H = ch.H
+        gram = H.conj().T @ H
+        if np.linalg.cond(gram) >= 1e12:
+            raise RankDeficientError("channel Gram matrix is numerically singular")
+        D = np.linalg.solve(gram.conj().T, H.conj().T).conj().T  # H (H^H H)^(-1)
+        norms = np.linalg.norm(D, axis=0)
+        Dn = D / norms[None, :]
+        Dn.setflags(write=False)
+        _ZF_CACHE[ch] = Dn
+    return np.sqrt(Pt / ch.K) * Dn
 
 
 def _abs2(z):

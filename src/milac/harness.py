@@ -40,6 +40,9 @@ from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 WORKERS_ENV = "MILAC_WORKERS"
 log = logging.getLogger(__name__)
 
+# json.dumps with keyword arguments builds an encoder per call
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
 RESULT_SCHEMA = "# milac sweep schema v1"
 SUMMARY_SCHEMA = "# milac summary schema v1"
 ITER_SCHEMA = "# milac convergence schema v1"
@@ -69,10 +72,11 @@ class ExperimentSpec:
     The only check of a sweep's settings: counts and the seed must be
     integers (a fractional one or a bool is refused, not truncated). A
     bare L_values or snr_db_values, a number or a string, is a one-point
-    sweep. The solver config acts as a template; its Pt is replaced per
-    SNR point, so every point must be a real number that gives a finite
-    positive Pt. A bad setting is rejected here, before any output file
-    exists.
+    sweep. No antenna count or SNR point may repeat (10 and 10.0 are one
+    point): summarize would count a repeat as more trials. The solver
+    config acts as a template; its Pt is replaced per SNR point, so every
+    point must be a real number that gives a finite positive Pt. A bad
+    setting is rejected here, before any output file exists.
     measure_time must be a bool; False writes 0.0 wall times so repeated
     runs produce byte-identical output files.
     """
@@ -98,6 +102,10 @@ class ExperimentSpec:
         for snr in snr_values:
             snr_to_power(snr)
         snr_values = tuple(map(float, snr_values))
+        for name, values in (("L", L_values), ("SNR point", snr_values)):
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise DimensionError(f"sweep repeats {name} {repeated}")
         if not isinstance(self.measure_time, bool):
             raise DimensionError(f"measure_time must be a bool, got {self.measure_time!r}")
         object.__setattr__(self, "K", K)
@@ -364,7 +372,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
         for rows, records, iter_rows in outputs:
             all_rows += rows
             fres.write(_lines(rows))
-            fsol.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+            fsol.writelines(_to_json(rec) + "\n" for rec in records)
             if iter_rows:  # convergence mode only
                 fiter.write(_lines(iter_rows))
             fres.flush()

@@ -20,6 +20,7 @@ saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,16 @@ from .errors import DimensionError, InconsistentSolutionError, check_positive
 from .network import FactoredScattering, ScatteringMatrix, check_lossless_reciprocal
 
 SCATTER_TOL = 1e-10
+_ZERO = np.zeros(1, dtype=np.complex128)
+
+
+@lru_cache(maxsize=16)
+def _strictly_lower(K: int) -> np.ndarray:
+    """Read-only K x K mask of the entries below the diagonal, the mask
+    np.triu builds on every call; kept for the few stream counts in use."""
+    mask = np.tri(K, K, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +244,7 @@ def map_digital_to_milac(d: DigitalBeamformer) -> TwoLayerSolution:
     # the reflectors below it; they become V in place: subtracting R from
     # the head leaves exact zeros above its diagonal
     V = h.T
-    R = np.triu(V[:K])
+    R = np.where(_strictly_lower(K), _ZERO, V[:K])  # np.triu(V[:K])
     V[:K] -= R
     np.fill_diagonal(V, 1.0)
     Ur, s, Vh = np.linalg.svd(R)
@@ -251,8 +262,10 @@ def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1
     Residuals (Frobenius): the upper-left K x K block Phi11, the range
     orthogonality U1^H Phi22, the completeness U1 U1^H + Phi22 Phi22^H - I
     (stated equivalently with conjugations swapped when Phi22 is
-    symmetric), and the symmetry Phi22 - Phi22^T.
+    symmetric), and the symmetry Phi22 - Phi22^T. tol must be finite and
+    positive.
     """
+    tol = check_positive("tol", tol)
     S = Phi.S if isinstance(Phi, (ScatteringMatrix, FactoredScattering)) else np.asarray(Phi)
     U1 = np.asarray(U1, dtype=np.complex128)
     L, K = U1.shape

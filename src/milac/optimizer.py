@@ -82,25 +82,33 @@ class SolveReport:
         if hist.size and np.any(np.diff(hist) < -1e-8):
             raise InconsistentSolutionError("objective history is not non-decreasing")
         object.__setattr__(self, "objective_history", hist)
+        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
 
 
-def _validate_link(H, Pmat, sigma):
+def _validate_channel(H, sigma):
+    """H as a 2-D complex array and sigma as its K finite positive noise
+    standard deviations."""
     H = np.asarray(H, dtype=np.complex128)
-    Pmat = np.asarray(Pmat, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=float)
-    if H.ndim != 2 or Pmat.ndim != 2:
-        raise DimensionError("H and Pmat must be 2-D")
+    if H.ndim != 2:
+        raise DimensionError(f"H must be 2-D, got shape {H.shape}")
     K = H.shape[1]
-    if Pmat.shape != (H.shape[0], K):
-        raise DimensionError(
-            f"Pmat shape {Pmat.shape} does not match channel shape {H.shape}"
-        )
     if sigma.shape != (K,):
         raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
-    # on Python floats: this runs several times per solve, where two numpy
+    # on Python floats: this runs on every rate evaluation, where two numpy
     # reductions would cost several times more
     if not all(0.0 < x < math.inf for x in sigma.tolist()):
         raise DimensionError("sigma entries must be positive and finite")
+    return H, sigma
+
+
+def _validate_link(H, Pmat, sigma):
+    H, sigma = _validate_channel(H, sigma)
+    Pmat = np.asarray(Pmat, dtype=np.complex128)
+    if Pmat.shape != H.shape:
+        raise DimensionError(
+            f"Pmat shape {Pmat.shape} does not match channel shape {H.shape}"
+        )
     return H, Pmat, sigma
 
 
@@ -215,11 +223,13 @@ def _power_multiplier(e, w, Pt: float) -> float:
 
 
 def _exact_step(H, T, root, beta, Pt: float) -> np.ndarray:
-    # update_T on validated complex arrays, root = sqrt(1 + alpha)
-    if not beta.any():
-        return T
+    # update_T on validated complex arrays, root = sqrt(1 + alpha). A zero
+    # channel column has a zero beta_k, so M = 0, and with it e[-1] = 0,
+    # exactly when every beta_k is zero
     M = H * beta
     e, V = np.linalg.eigh(M.conj().T @ M)
+    if e[-1] == 0.0:
+        return T
     tol = len(e) * EPS * e[-1]
     if e[0] <= tol:
         # eigh sorts e ascending, so the null directions lead
@@ -227,7 +237,12 @@ def _exact_step(H, T, root, beta, Pt: float) -> np.ndarray:
         e, V = e[n:], V[:, n:]
     Z = V.conj().T * root
     lam = _power_multiplier(e, e * (np.abs(Z) ** 2).sum(axis=1), Pt)
-    return project_power(M @ (V @ (Z / (e + lam)[:, None])), Pt)
+    X = M @ (V @ (Z / (e + lam)[:, None]))
+    # project_power without its conversion
+    nrm2 = float((np.abs(X) ** 2).sum())
+    if nrm2 == 0.0:
+        raise NumericalError("cannot project the zero matrix onto the power sphere")
+    return X * math.sqrt(Pt / nrm2)
 
 
 def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
@@ -261,6 +276,11 @@ def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     Heff = np.asarray(Heff, dtype=np.complex128)
     if Heff.ndim != 2:
         raise DimensionError(f"Heff must be 2-D, got shape {Heff.shape}")
+    return _matched_filter(Heff, Pt)
+
+
+def _matched_filter(Heff, Pt: float) -> np.ndarray:
+    # matched_filter_init on a validated 2-D complex Heff and power
     norms = np.linalg.norm(Heff, axis=0)
     if np.any(norms == 0):
         raise NumericalError("matched-filter init undefined for a zero channel column")
@@ -279,27 +299,28 @@ def random_init(shape, Pt: float, seed) -> np.ndarray:
 def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """Run the alternating updates on an arbitrary effective channel.
 
-    Returns (T, history, iterations, wall_time, stop_reason), T being the
-    final precoder and stop_reason "tol" or "cap" (see SolveReport). T's
-    shape matches Heff; init is projected onto the power sphere if given.
+    Returns (T, history, iterations, wall_time, stop_reason, rates), T
+    being the final precoder, stop_reason "tol" or "cap" (see SolveReport)
+    and rates the per-user rates of T in bits, equal to
+    user_rates(Heff, T, sigma). T's shape matches Heff; init is projected
+    onto the power sphere if given, else the start is the matched filter.
     Inputs are validated once on entry. Each round then forms one product
     C = Heff^H T and reads off it the rate of T and the auxiliaries of the
     next exact step, so it matches update_alpha_beta, update_T and
     sum_rate called in turn.
     """
-    Heff = np.asarray(Heff, dtype=np.complex128)
     t0 = time.perf_counter()
+    Heff, sigma = _validate_channel(Heff, sigma)
+    Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
     if init is None:
-        T = matched_filter_init(Heff, cfg.Pt)
+        T = _matched_filter(Heff, Pt)
     else:
         init = np.asarray(init, dtype=np.complex128)
         if init.shape != Heff.shape:
             raise DimensionError(
                 f"init shape {init.shape} does not match precoder shape {Heff.shape}"
             )
-        T = project_power(init, cfg.Pt)
-    Heff, T, sigma = _validate_link(Heff, T, sigma)
-    Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
+        T = project_power(init, Pt)
     alpha, root, beta = _auxiliaries(Hh @ T, noise)
     history = [_rate(alpha)]
     iterations = 0
@@ -316,7 +337,9 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
         if abs(rate - prev) / max(1.0, prev) < eps:
             stop_reason = "tol"
             break
-    return T, np.asarray(history), iterations, time.perf_counter() - t0, stop_reason
+    # alpha is T's: the rates user_rates would compute from the same C
+    rates = np.log1p(alpha) / LN2
+    return T, np.asarray(history), iterations, time.perf_counter() - t0, stop_reason, rates
 
 
 def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport:
@@ -327,11 +350,12 @@ def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport
     cfg.max_outer rounds elapse. The returned Pd = Q T lifts the solution
     back to the antenna domain.
     """
-    T, history, iterations, wall, stop_reason = run_fp(red.Hbar, red.sigma, cfg, init=init)
+    T, history, iterations, wall, stop_reason, rates = run_fp(red.Hbar, red.sigma, cfg,
+                                                              init=init)
     return SolveReport(
         T_final=T,
         Pd=red.Q @ T,
-        rates=user_rates(red.Hbar, T, red.sigma),
+        rates=rates,
         sum_rate=float(history[-1]),
         iterations=iterations,
         objective_history=history,
@@ -372,8 +396,8 @@ def report_record(report: SolveReport, cfg: SolverConfig, seed=None, label=None)
         "iterations": report.iterations,
         "stop_reason": report.stop_reason,
         "sum_rate": report.sum_rate,
-        "rates": [float(r) for r in report.rates],
-        "objective_history": [float(v) for v in report.objective_history],
+        "rates": report.rates.tolist(),
+        "objective_history": report.objective_history.tolist(),
         "wall_time": report.wall_time,
     }
     return rec

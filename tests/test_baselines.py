@@ -1,8 +1,12 @@
 """Validation references: full-dimension solver, zero forcing, oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import milac.baselines
 from milac import (
     ChannelSet,
     DimensionError,
@@ -98,6 +102,56 @@ def test_zero_forcing_rank_deficient():
         zero_forcing(ch, Pt=1.0)
 
 
+def zf_reference(H, Pt):
+    """The zero-forcing formula written out, computed afresh."""
+    gram = H.conj().T @ H
+    D = np.linalg.solve(gram.conj().T, H.conj().T).conj().T
+    norms = np.linalg.norm(D, axis=0)
+    return np.sqrt(Pt / H.shape[1]) * (D / norms[None, :])
+
+
+def test_zero_forcing_directions_computed_once_per_channel(monkeypatch):
+    # one channel at three powers equals a fresh channel with the same H,
+    # bit for bit, and its directions are computed at the first call only
+    ch = generate_rayleigh(32, 4, seed=3)
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
+    outputs = []
+    for Pt in (1.0, 10.0 ** 1.5, 1000.0):
+        P = zero_forcing(ch, Pt)
+        assert np.array_equal(P, zero_forcing(ChannelSet(H=ch.H), Pt))
+        assert np.array_equal(P, zf_reference(ch.H, Pt))
+        assert P.flags.writeable
+        outputs.append(P)
+    assert len(conds) == 1 + 3  # the shared channel once, each fresh one once
+    # every call returns an array of its own
+    again = zero_forcing(ch, 1.0)
+    again[:] = 0.0
+    assert np.array_equal(zero_forcing(ch, 1.0), outputs[0])
+
+
+def test_zero_forcing_rank_deficient_raises_every_call():
+    h = generate_rayleigh(4, 1, seed=0).H
+    ch = ChannelSet(H=np.hstack([h, h]))
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            zero_forcing(ch, Pt=1.0)
+    assert ch not in milac.baselines._ZF_CACHE
+
+
+def test_zero_forcing_cache_lives_with_its_channel():
+    ch = generate_rayleigh(8, 2, seed=1)
+    zero_forcing(ch, 1.0)
+    assert ch in milac.baselines._ZF_CACHE
+    before = len(milac.baselines._ZF_CACHE)
+    alive = weakref.ref(ch)
+    del ch
+    gc.collect()
+    assert alive() is None
+    assert len(milac.baselines._ZF_CACHE) == before - 1
+
+
 def test_oracle_config_validation():
     with pytest.raises(DimensionError):
         OracleConfig(samples=0)
@@ -106,6 +160,14 @@ def test_oracle_config_validation():
             OracleConfig(samples=count)
     cfg = OracleConfig(samples=np.int64(7))
     assert cfg.samples == 7 and type(cfg.samples) is int
+    # the seed reaches numpy's generator, which refuses a negative one late
+    with pytest.raises(DimensionError, match="^seed must be >= 0, got -1$"):
+        OracleConfig(samples=10, seed=-1)
+    for seed in (2.5, np.nan, "3", True):
+        with pytest.raises(DimensionError, match="seed must be an integer"):
+            OracleConfig(seed=seed)
+    cfg = OracleConfig(seed=np.int64(0))
+    assert cfg.seed == 0 and type(cfg.seed) is int
 
 
 @pytest.mark.parametrize("Pt", [0.0, -1.0, np.nan, np.inf])

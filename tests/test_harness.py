@@ -131,6 +131,30 @@ def test_spec_rejects_bad_seed_before_writing(tmp_path, seed):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid, named", [
+    (dict(L_values=(8, 8)), "L 8"),
+    (dict(L_values=(8, 16, np.int64(8))), "L 8"),
+    (dict(snr_db_values=(10.0, 10.0)), "SNR point 10.0"),
+    (dict(snr_db_values=(0, 10, 10.0)), "SNR point 10.0"),
+    (dict(snr_db_values=(0.0, -0.0)), "SNR point -0.0"),
+])
+def test_spec_rejects_repeated_sweep_points(tmp_path, grid, named):
+    # a repeat would run its cells again and summarize would count them as
+    # more trials; points are compared after normalization
+    with pytest.raises(DimensionError, match=f"^sweep repeats {named}$"):
+        run_experiment(small_spec(tmp_path, mode="theorem_check", **grid))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--L=8,8", "--snr-db=10,10.0"])
+def test_cli_rejects_repeated_sweep_points(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    code = main(["theorem-check", "--K", "2", "--trials", "2", flag, "--out", str(out)])
+    assert code == 2
+    assert "error: sweep repeats " in capsys.readouterr().err
+    assert not out.exists()
+
+
 PARSE = {"str": str, "int": int, "float": float}
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import milac.mapping
 from milac import (
     DigitalBeamformer,
     DimensionError,
@@ -393,6 +394,35 @@ def test_layer_kernels_match_written_out_formulas(case, tmp_path):
     save_matrix(tmp_path / "phi.txt", _dense_second_layer(d.Pd))
     for name in ("theta.txt", "phi.txt"):
         assert (tmp_path / "sol" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("case", ["32x4", "512x8", "16x16", "structured_zeros"])
+def test_triangle_is_triu_bit_for_bit(case, monkeypatch):
+    # R, the triangle the K x K SVD factors, is np.triu of the raw QR's
+    # head to the bit, signed zeros included, though it is cut with a
+    # cached read-only mask
+    d = KERNEL_CASES[case]()
+    K = d.K
+    svd = np.linalg.svd
+    factored = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: factored.append(a.copy()) or svd(a, *args, **kw))
+    sol = map_digital_to_milac(d)
+    monkeypatch.undo()
+    R = np.triu(np.linalg.qr(d.Pd, mode="raw")[0].T[:K])
+    assert factored[0].dtype == R.dtype == np.complex128
+    assert np.array_equal(factored[0].view(np.uint64), R.view(np.uint64))
+    assert np.array_equal(sol.Phi.V, _reflector_factors(d.Pd)[0])
+    assert np.array_equal(sol.Phi.S, _dense_second_layer(d.Pd))
+    mask = milac.mapping._strictly_lower(K)
+    assert mask is milac.mapping._strictly_lower(K) and not mask.flags.writeable
+
+
+def test_phi_feasibility_rejects_bad_tol():
+    sol = map_digital_to_milac(random_beamformer(4, 2, Pt=1.0, seed=3))
+    for tol in (np.nan, -1.0, 0.0, np.inf, True):
+        with pytest.raises(DimensionError, match="^tol must be finite and positive"):
+            verify_phi_feasibility(sol.Phi, sol.Phi.U1, tol=tol)
 
 
 def _criterion_1_beamformers():

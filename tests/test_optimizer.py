@@ -1,5 +1,6 @@
 """Fractional-programming solver: closed forms, ascent, convergence."""
 
+import dataclasses
 import json
 import warnings
 
@@ -28,6 +29,7 @@ from milac import (
     user_rates,
 )
 import milac.optimizer
+from milac.baselines import solve_full_dim
 from milac.optimizer import _power_multiplier, project_power, report_record, run_fp
 
 
@@ -377,7 +379,7 @@ def test_custom_init_and_bad_shape():
 
 def test_run_fp_works_full_dimension():
     ch = generate_rayleigh(6, 2, seed=9)
-    T, history, iterations, wall, stop_reason = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
+    T, history, iterations, wall, stop_reason, _ = run_fp(ch.H, ch.sigma, SolverConfig(Pt=10.0))
     assert T.shape == (6, 2)
     assert np.all(np.diff(history) >= -1e-8)
     assert iterations >= 1 and wall >= 0.0
@@ -429,6 +431,9 @@ def test_report_record_serializable():
     assert back["iterations"] == rep.iterations
     assert back["stop_reason"] == rep.stop_reason == "tol"
     assert back["sum_rate"] == pytest.approx(rep.sum_rate)
+    # a report built by hand with list rates is recorded alike
+    by_hand = dataclasses.replace(rep, rates=list(rep.rates))
+    assert report_record(by_hand, cfg, seed=1, label="reduced") == rec
 
 
 @settings(max_examples=25, deadline=None)
@@ -482,12 +487,49 @@ def test_fused_loop_matches_public_round(shape, snr_db):
                       (random_init(Heff.shape, Pt, seed=100 + seed), SolverConfig(Pt=Pt)),
                       (None, SolverConfig(Pt=Pt, max_outer=1))]
             for init, cfg in starts:
-                T, history, iterations, _, stop_reason = run_fp(Heff, sigma, cfg, init=init)
+                T, history, iterations, _, stop_reason, _ = run_fp(Heff, sigma, cfg, init=init)
                 T_ref, h_ref, it_ref, stop_ref = reference_fp(Heff, sigma, cfg, init=init)
                 assert (iterations, stop_reason) == (it_ref, stop_ref)
                 assert history.shape == h_ref.shape
                 assert np.max(np.abs(history - h_ref)) <= 1e-12 * max(1.0, h_ref[-1])
                 assert np.max(np.abs(T - T_ref)) <= 1e-12 * np.sqrt(Pt)
+
+
+@pytest.mark.parametrize("L, K, snr_db, init_seed", [
+    (32, 4, 10.0, None), (16, 16, 40.0, None), (32, 4, 20.0, 5)])
+def test_report_rates_are_user_rates_of_precoder(L, K, snr_db, init_seed):
+    # the rates come from the last round's SINRs, bit for bit those of
+    # user_rates on the returned precoder, for both solvers
+    ch = generate_rayleigh(L, K, seed=L + K)
+    red = reduce_channel(ch)
+    Pt = 10.0 ** (snr_db / 10.0)
+    cfg = SolverConfig(Pt=Pt)
+    inits = ((None, None) if init_seed is None else
+             (random_init((K, K), Pt, init_seed), random_init((L, K), Pt, init_seed)))
+    rep = solve_psla(red, cfg, init=inits[0])
+    assert np.array_equal(rep.rates, user_rates(red.Hbar, rep.T_final, red.sigma))
+    full = solve_full_dim(ch, cfg, init=inits[1])
+    assert np.array_equal(full.rates, user_rates(ch.H, full.Pd, ch.sigma))
+    T, history, *_, rates = run_fp(red.Hbar, red.sigma, cfg, init=inits[0])
+    assert np.array_equal(rates, user_rates(red.Hbar, T, red.sigma))
+    assert history[-1] == rep.sum_rate
+
+
+def test_run_fp_checks_start_once(monkeypatch):
+    # the matched-filter start is built on the validated channel: the power
+    # and the channel's shape are checked once per solve, and a zero channel
+    # column still fails with the public start's message
+    calls = []
+    positive = milac.optimizer.check_positive
+    monkeypatch.setattr(milac.optimizer, "check_positive",
+                        lambda name, value: calls.append(name) or positive(name, value))
+    ch = generate_rayleigh(6, 2, seed=9)
+    cfg = SolverConfig(Pt=10.0)
+    assert calls == ["Pt", "eps"]
+    run_fp(ch.H, ch.sigma, cfg)
+    assert calls == ["Pt", "eps"]
+    with pytest.raises(NumericalError, match="zero channel column"):
+        run_fp(np.eye(3, 2) * [1.0, 0.0], np.ones(2), cfg)
 
 
 def test_run_fp_validates_on_entry():
