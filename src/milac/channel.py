@@ -24,8 +24,8 @@ class ChannelSet:
     """Downlink channels for one realization.
 
     H holds one column per user (L x K), sigma the per-user noise standard
-    deviations. Arrays are stored read-only; instances are safe to share
-    across workers.
+    deviations. Arrays are stored read-only, so an instance can be shared
+    by every architecture and SNR point that uses it.
     """
 
     H: np.ndarray

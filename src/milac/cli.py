@@ -8,7 +8,7 @@ else a JSON config file, else the mode's default (100 trials, tolerance
 alone check them, so a config file's counts and seed must be JSON
 integers, not booleans, and a bare L or snr_db is a one-point sweep. The
 exception is no_timing: it is checked here to be a boolean before it is
-negated into measure_time. MILAC_WORKERS sets the worker-pool size.
+negated into measure_time.
 """
 
 from __future__ import annotations

@@ -22,11 +22,10 @@ import json
 import logging
 import math
 import numbers
-import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from .errors import BOOLS, DimensionError, MilacError, check_count, check_positi
 from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
-WORKERS_ENV = "MILAC_WORKERS"
 log = logging.getLogger(__name__)
 
 # json.dumps with keyword arguments builds an encoder per call
@@ -74,9 +72,10 @@ class ExperimentSpec:
     bare L_values or snr_db_values, a number or a string, is a one-point
     sweep. No antenna count or SNR point may repeat (10 and 10.0 are one
     point): summarize would count a repeat as more trials. The solver
-    config acts as a template; its Pt is replaced per SNR point, so every
-    point must be a real number that gives a finite positive Pt. A bad
-    setting is rejected here, before any output file exists.
+    config must be a SolverConfig; it acts as a template whose Pt is
+    replaced per SNR point, so every point must be a real number that
+    gives a finite positive Pt. A bad setting is rejected here, before any
+    output file exists.
     measure_time must be a bool; False writes 0.0 wall times so repeated
     runs produce byte-identical output files.
     """
@@ -106,6 +105,8 @@ class ExperimentSpec:
             if len(set(values)) < len(values):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise DimensionError(f"sweep repeats {name} {repeated}")
+        if not isinstance(self.solver, SolverConfig):
+            raise DimensionError(f"solver must be a SolverConfig, got {self.solver!r}")
         if not isinstance(self.measure_time, bool):
             raise DimensionError(f"measure_time must be a bool, got {self.measure_time!r}")
         object.__setattr__(self, "K", K)
@@ -265,7 +266,8 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     """Run every architecture of the mode on one (L, snr, trial) cell.
 
     Returns (rows, solver_records, iteration_rows). Failures are recorded
-    as rows with sum_rate=nan and iterations=-1 instead of aborting.
+    instead of aborting: as rows with sum_rate=nan and iterations=-1, and
+    as solver records with the cell, label, seed, wall_time and error.
     two_layer maps the digital_reduced solution of the same cell: its row
     repeats that solve's iteration count, its wall time covers the mapping
     alone, and it fails with digital_reduced's error if that solve failed.
@@ -289,12 +291,14 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
         try:
             P, iterations, rep = RUNNERS[arch](drawn, cfg, done)
         except (MilacError, np.linalg.LinAlgError) as exc:
+            wall = clock(t0)
             rows.append(SweepRow(**cell, architecture=arch, sum_rate=math.nan,
-                                 iterations=-1, wall_time=clock(t0)))
+                                 iterations=-1, wall_time=wall))
             log.warning("%s failed at L=%s snr=%s trial=%s: %s",
                         arch, L, snr_db, trial, exc)
             done[arch] = exc
-            rec = {"label": arch, "error": f"{type(exc).__name__}: {exc}"}
+            rec = {"label": arch, "seed": seed, "wall_time": wall,
+                   "error": f"{type(exc).__name__}: {exc}"}
         else:
             wall = clock(t0)
             done[arch] = rep
@@ -315,38 +319,20 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     return rows, records, iter_rows
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DimensionError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return check_count(WORKERS_ENV, n, 1)
-
-
 def run_experiment(spec: ExperimentSpec) -> tuple:
     """Execute a sweep, write its output files and return its rows.
 
     Writes results.csv (one row per architecture per trial per sweep
     point, appended as trials finish), summary.csv (per-point aggregates),
     solves.jsonl (one record per solver run), and for convergence mode
-    iterations.csv with the per-iteration objective. Trials run in a
-    process pool when the MILAC_WORKERS environment variable asks for more
-    than one worker, with no more workers than tasks (a one-task sweep
-    runs serially); output order is independent of scheduling. The pool
-    module is imported only then. Returns the tuple of SweepRow written
-    to results.csv, in file order.
+    iterations.csv with the per-iteration objective. Cells run one after
+    another in this process, antenna count, then SNR point, then trial.
+    Returns the tuple of SweepRow written to results.csv, in file order.
 
     Each trial's channel and reduction are computed once per antenna count
     and reused at every SNR point: the trial memo is opened empty on entry
-    and dropped on exit, returned or raised, so every call recomputes. Each
-    pool worker fills a memo of its own.
+    and dropped on exit, returned or raised, so every call recomputes.
     """
-    cells = [(L, snr, t) for L in spec.L_values for snr in spec.snr_db_values
-             for t in range(spec.trials)]
-    workers = min(worker_count(), len(cells))
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
@@ -359,17 +345,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
         if spec.mode == "convergence":
             fiter = stack.enter_context(open(out / "iterations.csv", "w"))
             fiter.write(_header(ITER_SCHEMA, IterationRow))
-        # run_point(spec, L, snr_db, trial) per cell, results in cell order
-        args = (partial(run_point, spec), *zip(*cells))
-        if workers == 1:
-            outputs = map(*args)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_use_memo, initargs=({},)))
-            outputs = pool.map(*args, chunksize=4)
-        for rows, records, iter_rows in outputs:
+        for L, snr_db, trial in product(spec.L_values, spec.snr_db_values,
+                                        range(spec.trials)):
+            rows, records, iter_rows = run_point(spec, L, snr_db, trial)
             all_rows += rows
             fres.write(_lines(rows))
             fsol.writelines(_to_json(rec) + "\n" for rec in records)

@@ -165,15 +165,18 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
     admittance of its component to ground. Missing entries mean no
     component. The assembled matrix has [Y]_iv = -Y_iv off the diagonal and
     column sums (ground included) on the diagonal. Non-finite component
-    values raise DimensionError.
+    values, and keys that are not ports (or pairs of ports) of the n-port,
+    raise DimensionError.
     """
     n = check_count("n", n, 1)
     comp = np.zeros((n, n), dtype=np.complex128)
     filled = np.zeros((n, n), dtype=bool)
     for key, y in offdiag.items():
-        i, v = key
-        if not (0 <= i < n and 0 <= v < n):
-            raise DimensionError(f"port pair {key} out of range for n={n}")
+        try:
+            i, v = key
+        except (TypeError, ValueError):  # not an iterable of two
+            raise DimensionError(f"offdiag key {key!r} is not a port pair") from None
+        i, v = _port("offdiag port", i, n), _port("offdiag port", v, n)
         if i == v:
             raise DimensionError(
                 f"offdiag key {key} is diagonal; ground components go in `ground`"
@@ -187,9 +190,7 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
         filled[i, v] = filled[v, i] = True
     gnd = np.zeros(n, dtype=np.complex128)
     for v, y in ground.items():
-        if not (0 <= v < n):
-            raise DimensionError(f"ground port {v} out of range for n={n}")
-        gnd[v] = complex(y)
+        gnd[_port("ground port", v, n)] = complex(y)
     Y = -comp
     # diagonal: total admittance incident on the port, ground included
     Y[np.diag_indices(n)] = comp.sum(axis=0) + gnd
@@ -197,6 +198,15 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
         raise DimensionError("Y has non-finite entries")
     Y.setflags(write=False)
     return Y
+
+
+def _port(name: str, index, n: int) -> int:
+    """index as an int; DimensionError unless it is an integer in [0, n)
+    and not a bool."""
+    p = check_count(name, index, 0)
+    if p >= n:
+        raise DimensionError(f"{name} {p} out of range for n={n}")
+    return p
 
 
 def scattering_from_susceptance(B) -> ScatteringMatrix:
@@ -256,11 +266,13 @@ def beamformer_from_scattering(S: ScatteringMatrix | FactoredScattering | np.nda
     matched sources and loads the output waves are half the corresponding
     scattering block, so this returns S[n_in:, :n_in] / 2 (an n_out x n_in
     matrix). Raw arrays are validated as ScatteringMatrix does and raise
-    DimensionError unless square and finite.
+    DimensionError unless square and finite; so does a split that is not
+    two integers >= 1 summing to the port count.
     """
     M = S.S if isinstance(S, (ScatteringMatrix, FactoredScattering)) else _square(S, "S")
     n = M.shape[0]
-    if n_in < 1 or n_out < 1 or n_in + n_out != n:
+    n_in, n_out = check_count("n_in", n_in, 1), check_count("n_out", n_out, 1)
+    if n_in + n_out != n:
         raise DimensionError(
             f"port split {n_in}+{n_out} does not match an {n}-port network"
         )

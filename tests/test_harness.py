@@ -131,6 +131,13 @@ def test_spec_rejects_bad_seed_before_writing(tmp_path, seed):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("solver", [None, {"eps": 1e-3}, SolverConfig])
+def test_spec_rejects_bad_solver_before_writing(tmp_path, solver):
+    with pytest.raises(DimensionError, match="^solver must be a SolverConfig, got "):
+        run_experiment(small_spec(tmp_path, mode="theorem_check", solver=solver))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid, named", [
     (dict(L_values=(8, 8)), "L 8"),
     (dict(L_values=(8, 16, np.int64(8))), "L 8"),
@@ -348,77 +355,18 @@ def test_summary_statistical_consistency(tmp_path):
     assert abs(sum_a.mean_sum_rate - sum_b.mean_sum_rate) <= spread
 
 
-def test_worker_pool_matches_serial(tmp_path, monkeypatch):
-    # two antenna counts and two SNR points, so the workers' trial memos
-    # are filled, reused and switched between antenna counts
-    grid = dict(mode="theorem_check", trials=3, L_values=(8, 10), snr_db_values=(0.0, 10.0))
-    serial = run_experiment(small_spec(tmp_path / "serial", **grid))
-    monkeypatch.setenv("MILAC_WORKERS", "2")
-    pooled = run_experiment(small_spec(tmp_path / "pool", **grid))
-    assert serial == pooled
-    for name in ("results.csv", "solves.jsonl", "summary.csv"):
-        a = (tmp_path / "serial" / "out" / name).read_bytes()
-        b = (tmp_path / "pool" / "out" / name).read_bytes()
-        assert a == b, name
-
-
-def test_worker_count_validation(tmp_path, monkeypatch):
-    from milac.harness import worker_count
-
-    monkeypatch.delenv("MILAC_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MILAC_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("MILAC_WORKERS", "0")
-    with pytest.raises(DimensionError):
-        worker_count()
-    for raw in ("two", "1.5", "2x"):
-        monkeypatch.setenv("MILAC_WORKERS", raw)
-        with pytest.raises(DimensionError, match="MILAC_WORKERS must be an integer"):
-            worker_count()
-    with pytest.raises(DimensionError):
-        run_experiment(small_spec(tmp_path))
-    assert not (tmp_path / "out").exists()  # fails before writing anything
-
-
-def test_worker_pool_capped_at_task_count(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class FakePool:
-        # runs tasks in-process and records the requested pool size
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    # run_experiment imports the pool class from concurrent.futures when it uses it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.delenv("MILAC_WORKERS", raising=False)
-    serial = run_experiment(small_spec(tmp_path / "serial", trials=3))
-    monkeypatch.setenv("MILAC_WORKERS", "8")
-    pooled = run_experiment(small_spec(tmp_path / "three", trials=3))
-    assert pools == [3]
-    assert pooled == serial
-    run_experiment(small_spec(tmp_path / "one", trials=1))
-    assert pools == [3]  # a one-task sweep takes the serial path
-
-
-def test_import_leaves_out_the_process_pool():
+def test_import_leaves_out_the_process_pool(tmp_path):
+    # neither importing milac nor running a sweep loads a process pool; no
+    # environment variable, MILAC_WORKERS included, starts one
     code = ("import sys, milac; "
+            "milac.run_experiment(milac.ExperimentSpec(mode='theorem_check', L_values=8, "
+            f"K=2, trials=2, output_dir={str(tmp_path / 'out')!r})); "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+                         check=True, env={**os.environ, "PYTHONPATH": SRC, "MILAC_WORKERS": "2"})
     assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 @pytest.fixture
@@ -511,6 +459,31 @@ def test_failed_reduction_fails_its_trial_at_every_snr_point(tmp_path, counted, 
                (tmp_path / "out" / "solves.jsonl").read_text().splitlines()]
     errors = [(rec["snr_db"], rec["label"]) for rec in records if "error" in rec]
     assert errors == [(snr, arch) for snr in snrs for arch in ("digital_reduced", "two_layer")]
+
+
+def test_failed_records_have_the_same_keys_whatever_the_timing(tmp_path, monkeypatch):
+    import milac.harness as harness
+
+    def boom(ch, Pt):
+        raise RankDeficientError("synthetic failure")
+
+    monkeypatch.setattr(harness, "zero_forcing", boom)
+    keys = {}
+    for timed in (False, True):
+        out = tmp_path / str(timed)
+        run_experiment(small_spec(out, trials=2, base_seed=5, measure_time=timed))
+        records = [json.loads(line) for line in
+                   (out / "out" / "solves.jsonl").read_text().splitlines()]
+        # every record, failed or not, carries its trial's seed
+        assert all(rec["seed"] == 5 + rec["trial"] for rec in records)
+        failed = [rec for rec in records if "error" in rec]
+        assert [(rec["label"], rec["trial"]) for rec in failed] == [
+            ("zero_forcing", 0), ("zero_forcing", 1)]
+        if not timed:
+            assert [rec["wall_time"] for rec in failed] == [0.0, 0.0]
+        keys[timed] = {frozenset(rec) for rec in failed}
+    assert keys[False] == keys[True] == {frozenset(
+        ("mode", "L", "K", "snr_db", "trial", "label", "seed", "wall_time", "error"))}
 
 
 def test_run_point_reuses_reduced_solution(tmp_path):

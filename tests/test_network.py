@@ -91,6 +91,12 @@ def test_admittance_errors():
         admittance_from_components({(0, 0): 1j}, {}, 2)
     with pytest.raises(DimensionError):
         admittance_from_components({}, {-1: 1j}, 2)
+    # a key must be a pair of integer ports (not bools) for offdiag, one for ground
+    for offdiag, ground in (({(0.5, 1): 1j}, {}), ({(0, 1, 2): 1j}, {}), ({0: 1j}, {}),
+                            ({(True, 1): 1j}, {}), ({}, {0.5: 1j}), ({}, {"a": 1j}),
+                            ({}, {True: 1j}), ({}, {2: 1j})):
+        with pytest.raises(DimensionError):
+            admittance_from_components(offdiag, ground, 2)
 
 
 def test_scattering_open_network():
@@ -177,6 +183,12 @@ def test_beamformer_dimension_mismatch():
     S = ScatteringMatrix(S=np.eye(4, dtype=complex))
     with pytest.raises(DimensionError):
         beamformer_from_scattering(S, n_in=3, n_out=2)
+    # each side must be an integer >= 1, not a float or a bool
+    for n_in, n_out in ((1.5, 2.5), (2.0, 2.0), (True, 3), (0, 4), (4, 0)):
+        with pytest.raises(DimensionError, match="^n_(in|out) must be"):
+            beamformer_from_scattering(S, n_in, n_out)
+        with pytest.raises(DimensionError, match="^n_(in|out) must be"):
+            beamformer_from_scattering(np.eye(4), n_in, n_out)
 
 
 def test_beamformer_from_raw_arrays():
