@@ -12,9 +12,7 @@ from .channel import (
     ChannelSet,
     ReducedChannel,
     generate_rayleigh,
-    load_channel,
     reduce_channel,
-    save_channel,
 )
 from .errors import (
     DimensionError,
@@ -33,14 +31,9 @@ from .harness import (
 )
 from .mapping import (
     DigitalBeamformer,
-    PhiFeasibilityReport,
     TwoLayerSolution,
-    load_solution,
     map_digital_to_milac,
-    save_solution,
-    verify_phi_feasibility,
 )
-from .matio import load_matrix, save_matrix
 from .network import (
     FactoredScattering,
     LosslessReciprocalReport,
@@ -70,18 +63,14 @@ __all__ = [
     # baselines
     "OracleConfig", "brute_force_oracle", "solve_full_dim", "zero_forcing",
     # channel
-    "ChannelSet", "ReducedChannel", "generate_rayleigh", "load_channel",
-    "reduce_channel", "save_channel",
+    "ChannelSet", "ReducedChannel", "generate_rayleigh", "reduce_channel",
     # errors
     "DimensionError", "InconsistentSolutionError", "MilacError",
     "NotRealizableError", "NumericalError", "RankDeficientError",
     # harness
     "ExperimentSpec", "SweepRow", "run_experiment", "snr_to_power", "summarize",
     # mapping
-    "DigitalBeamformer", "PhiFeasibilityReport", "TwoLayerSolution", "load_solution",
-    "map_digital_to_milac", "save_solution", "verify_phi_feasibility",
-    # matio
-    "load_matrix", "save_matrix",
+    "DigitalBeamformer", "TwoLayerSolution", "map_digital_to_milac",
     # network
     "FactoredScattering", "LosslessReciprocalReport", "ScatteringMatrix",
     "SusceptanceMatrix", "admittance_from_components", "beamformer_from_scattering",

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matio
 from .errors import DimensionError, RankDeficientError, check_count
 
 RANK_TOL = 1e-12
@@ -123,17 +122,3 @@ def reduce_channel(ch: ChannelSet) -> ReducedChannel:
     Q *= phase.conj()
     Q[first, cols] = np.abs(z)
     return ReducedChannel(Q=Q, Hbar=Q.conj().T @ ch.H, sigma=ch.sigma)
-
-
-def save_channel(path, ch: ChannelSet) -> None:
-    """Write the channel matrix to a text matrix file (H only)."""
-    matio.save_matrix(path, ch.H)
-
-
-def load_channel(path) -> ChannelSet:
-    """Read a channel matrix file.
-
-    The file format carries H only, so the noise levels are all ones (the
-    simulation default); build a ChannelSet from the loaded H for others.
-    """
-    return ChannelSet(H=matio.load_matrix(path))

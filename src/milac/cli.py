@@ -103,7 +103,7 @@ def build_spec(args) -> ExperimentSpec:
         trials=settings["trials"],
         base_seed=settings["seed"],
         solver=SolverConfig(eps=settings["eps"], max_outer=settings["max_iter"]),
-        output_dir=str(settings["out"]),
+        output_dir=settings["out"],
         measure_time=not settings["no_timing"],
     )
 

@@ -15,8 +15,7 @@ class MilacError(Exception):
 
 
 class DimensionError(MilacError, ValueError):
-    """Invalid argument or input file: its shape, size, index, value or
-    format."""
+    """Invalid argument: its type, shape, size, index or value."""
 
 
 class RankDeficientError(MilacError, ValueError):

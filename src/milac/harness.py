@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
@@ -74,8 +75,9 @@ class ExperimentSpec:
     point): summarize would count a repeat as more trials. The solver
     config must be a SolverConfig; it acts as a template whose Pt is
     replaced per SNR point, so every point must be a real number that
-    gives a finite positive Pt. A bad setting is rejected here, before any
-    output file exists.
+    gives a finite positive Pt. The mode must be a string naming a mode,
+    and output_dir a str or os.PathLike. A bad setting is rejected here,
+    before any output file exists.
     measure_time must be a bool; False writes 0.0 wall times so repeated
     runs produce byte-identical output files.
     """
@@ -91,7 +93,7 @@ class ExperimentSpec:
     measure_time: bool = True
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if not isinstance(self.mode, str) or self.mode not in MODES:
             raise DimensionError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         K = check_count("K", self.K, 1)
         L_values = tuple(check_count(f"L for K={K}", L, K) for L in _points(self.L_values))
@@ -109,6 +111,9 @@ class ExperimentSpec:
             raise DimensionError(f"solver must be a SolverConfig, got {self.solver!r}")
         if not isinstance(self.measure_time, bool):
             raise DimensionError(f"measure_time must be a bool, got {self.measure_time!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise DimensionError(
+                f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "L_values", L_values)
         object.__setattr__(self, "snr_db_values", snr_values)

@@ -13,19 +13,16 @@ of U1, taken from the same reflectors. The second network is kept as
 those reflectors and Ur (a FactoredScattering) and certified lossless
 reciprocal from them with one real QR of an (L-K) x 2K matrix, so the
 mapping and its checks cost O(L K^2) and allocate no (L+K) x (L+K)
-array; U1 and the dense matrix are formed only when they are read or
-saved.
+array; U1 and the dense matrix are formed only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from . import matio
 from .errors import DimensionError, InconsistentSolutionError, check_positive
 from .network import FactoredScattering, ScatteringMatrix, check_lossless_reciprocal
 
@@ -77,18 +74,6 @@ class DigitalBeamformer:
         return self.Pd.shape[1]
 
 
-@dataclass(frozen=True)
-class PhiFeasibilityReport:
-    """Residuals of the second-layer feasibility conditions."""
-
-    phi11_residual: float
-    orthogonality_residual: float
-    completeness_residual: float
-    symmetry_residual: float
-    tol: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TwoLayerSolution:
     """Scattering matrices, amplifier gains, and the beamformers they induce.
@@ -100,9 +85,8 @@ class TwoLayerSolution:
     map_digital_to_milac builds it: then Phi.S forms the dense matrix on
     first read. Construction checks that Theta and Phi are lossless
     reciprocal (Phi from its factors when it has them) and Psqrt diagonal,
-    finite and nonnegative, so deserialized solutions are validated; a
-    factored Phi built for another stream count than Theta's raises
-    DimensionError. F and W, the half-scaled transfer blocks, and the
+    finite and nonnegative; a factored Phi built for another stream count
+    than Theta's raises DimensionError. F and W, the half-scaled transfer blocks, and the
     effective beamformer G = W Psqrt F are derived from them on access; W
     reads Phi.U1 / 2 off a factored Phi without forming the dense matrix.
     """
@@ -254,50 +238,3 @@ def map_digital_to_milac(d: DigitalBeamformer) -> TwoLayerSolution:
     return TwoLayerSolution(Theta=ScatteringMatrix(S=Theta),
                             Phi=_second_layer(V, tau, Ur),
                             Psqrt=np.diag(_amplitudes(s, d.Pt)))
-
-
-def verify_phi_feasibility(Phi: ScatteringMatrix, U1: np.ndarray, tol: float = 1e-10) -> PhiFeasibilityReport:
-    """Check the second-layer structural conditions against a given U1.
-
-    Residuals (Frobenius): the upper-left K x K block Phi11, the range
-    orthogonality U1^H Phi22, the completeness U1 U1^H + Phi22 Phi22^H - I
-    (stated equivalently with conjugations swapped when Phi22 is
-    symmetric), and the symmetry Phi22 - Phi22^T. tol must be finite and
-    positive.
-    """
-    tol = check_positive("tol", tol)
-    S = Phi.S if isinstance(Phi, (ScatteringMatrix, FactoredScattering)) else np.asarray(Phi)
-    U1 = np.asarray(U1, dtype=np.complex128)
-    L, K = U1.shape
-    if S.shape != (L + K, L + K):
-        raise DimensionError(
-            f"Phi must be {(L + K)} x {(L + K)} for U1 of shape {U1.shape}, got {S.shape}"
-        )
-    Phi11 = S[:K, :K]
-    Phi22 = S[K:, K:]
-    r11 = float(np.linalg.norm(Phi11))
-    orth = float(np.linalg.norm(U1.conj().T @ Phi22))
-    comp = float(np.linalg.norm(U1 @ U1.conj().T + Phi22 @ Phi22.conj().T - np.eye(L)))
-    sym = float(np.linalg.norm(Phi22 - Phi22.T))
-    return PhiFeasibilityReport(
-        phi11_residual=r11, orthogonality_residual=orth,
-        completeness_residual=comp, symmetry_residual=sym, tol=tol,
-        passed=bool(max(r11, orth, comp, sym) <= tol),
-    )
-
-
-def save_solution(dirpath, sol: TwoLayerSolution) -> None:
-    """Write theta.txt, phi.txt, psqrt.txt into a directory."""
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    matio.save_matrix(d / "theta.txt", sol.Theta.S)
-    matio.save_matrix(d / "phi.txt", sol.Phi.S)
-    matio.save_matrix(d / "psqrt.txt", sol.Psqrt)
-
-
-def load_solution(dirpath) -> TwoLayerSolution:
-    """Read a solution directory back; construction validates it."""
-    d = Path(dirpath)
-    return TwoLayerSolution(Theta=ScatteringMatrix(S=matio.load_matrix(d / "theta.txt")),
-                            Phi=ScatteringMatrix(S=matio.load_matrix(d / "phi.txt")),
-                            Psqrt=matio.load_matrix(d / "psqrt.txt"))

@@ -7,12 +7,14 @@ their scattering matrices are unitary and symmetric by construction.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NotRealizableError, check_count, check_positive
+from .errors import BOOLS, DimensionError, NotRealizableError, check_count, check_positive
 
 COND_LIMIT = 1e12
 RESIDUE_TOL = 1e-8
@@ -164,11 +166,15 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
     (v, i) is allowed when the values agree. ground maps a port to the
     admittance of its component to ground. Missing entries mean no
     component. The assembled matrix has [Y]_iv = -Y_iv off the diagonal and
-    column sums (ground included) on the diagonal. Non-finite component
-    values, and keys that are not ports (or pairs of ports) of the n-port,
-    raise DimensionError.
+    column sums (ground included) on the diagonal. offdiag and ground must
+    be mappings whose values are numbers, not bools or strings; such a
+    value, a non-finite one, or a key that is not a port (or pair of ports)
+    of the n-port raises DimensionError.
     """
     n = check_count("n", n, 1)
+    for name, components in (("offdiag", offdiag), ("ground", ground)):
+        if not isinstance(components, Mapping):
+            raise DimensionError(f"{name} must be a mapping, got {components!r}")
     comp = np.zeros((n, n), dtype=np.complex128)
     filled = np.zeros((n, n), dtype=bool)
     for key, y in offdiag.items():
@@ -181,7 +187,7 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
             raise DimensionError(
                 f"offdiag key {key} is diagonal; ground components go in `ground`"
             )
-        y = complex(y)
+        y = _admittance("offdiag", key, y)
         if filled[i, v] and not np.isclose(comp[i, v], y, rtol=1e-12, atol=0.0):
             raise DimensionError(
                 f"components ({i},{v}) and ({v},{i}) disagree: {comp[i, v]} vs {y}"
@@ -190,7 +196,7 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
         filled[i, v] = filled[v, i] = True
     gnd = np.zeros(n, dtype=np.complex128)
     for v, y in ground.items():
-        gnd[_port("ground port", v, n)] = complex(y)
+        gnd[_port("ground port", v, n)] = _admittance("ground", v, y)
     Y = -comp
     # diagonal: total admittance incident on the port, ground included
     Y[np.diag_indices(n)] = comp.sum(axis=0) + gnd
@@ -198,6 +204,14 @@ def admittance_from_components(offdiag, ground, n: int) -> np.ndarray:
         raise DimensionError("Y has non-finite entries")
     Y.setflags(write=False)
     return Y
+
+
+def _admittance(name: str, key, y) -> complex:
+    """y as a complex; DimensionError naming the key unless y is a number
+    and not a bool."""
+    if not isinstance(y, numbers.Number) or isinstance(y, BOOLS):
+        raise DimensionError(f"{name} value at {key!r} must be a number, got {y!r}")
+    return complex(y)
 
 
 def _port(name: str, index, n: int) -> int:

@@ -2,7 +2,9 @@
 shared scalar argument checks."""
 
 import dataclasses
+import importlib.util
 import inspect
+import pkgutil
 import types
 
 import numpy as np
@@ -11,6 +13,10 @@ import pytest
 import milac
 import milac.errors
 from milac.errors import DimensionError, check_count, check_positive
+
+# every submodule but __main__, which runs the CLI when imported
+SUBMODULES = [importlib.import_module(f"milac.{info.name}")
+              for info in pkgutil.iter_modules(milac.__path__) if info.name != "__main__"]
 
 ERRORS = {
     "MilacError": Exception,
@@ -28,13 +34,16 @@ def test_all_is_explicit_and_resolves():
     for name in milac.__all__:
         obj = getattr(milac, name)
         assert not isinstance(obj, types.ModuleType), name
-    assert len(milac.__all__) == 50
-    # names that repeated another public path, or wrapped a constant, are gone
+    assert len(milac.__all__) == 42
+    # names that repeated another public path, wrapped a constant, or read
+    # and wrote text files no caller used, are gone
     for name in ("effective_beamformer", "sinr", "power_step", "AdmittanceMatrix",
-                 "ReferenceImpedance", "SweepResult"):
-        assert not hasattr(milac, name) and not hasattr(milac.optimizer, name)
-        assert not hasattr(milac.mapping, name) and not hasattr(milac.network, name)
-        assert not hasattr(milac.harness, name)
+                 "ReferenceImpedance", "SweepResult", "load_channel", "save_channel",
+                 "load_solution", "save_solution", "load_matrix", "save_matrix",
+                 "verify_phi_feasibility", "PhiFeasibilityReport"):
+        for module in (milac, *SUBMODULES):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert importlib.util.find_spec("milac.matio") is None
 
 
 def test_constant_settings_have_no_parameter():
@@ -44,7 +53,6 @@ def test_constant_settings_have_no_parameter():
         milac.susceptance_from_scattering: "zref",
         milac.map_digital_to_milac: "amp_budget",
         milac.snr_to_power: "sigma",
-        milac.load_channel: "sigma",
     }
     for fn, name in removed.items():
         assert name not in inspect.signature(fn).parameters, fn.__name__

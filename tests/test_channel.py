@@ -10,9 +10,7 @@ from milac import (
     DimensionError,
     RankDeficientError,
     generate_rayleigh,
-    load_channel,
     reduce_channel,
-    save_channel,
 )
 
 
@@ -158,15 +156,6 @@ def test_reduce_carries_sigma():
     ch = ChannelSet(H=generate_rayleigh(4, 2, seed=1).H, sigma=sigma)
     red = reduce_channel(ch)
     assert np.array_equal(red.sigma, sigma)
-
-
-def test_save_load_round_trip(tmp_path):
-    ch = generate_rayleigh(5, 2, seed=9)
-    path = tmp_path / "h.txt"
-    save_channel(path, ch)
-    out = load_channel(path)
-    assert np.array_equal(out.H, ch.H)
-    assert np.array_equal(out.sigma, np.ones(2))
 
 
 def test_arrays_read_only():

@@ -108,6 +108,14 @@ def test_spec_validation():
     for flag in ("yes", "false", 1, None, np.True_):
         with pytest.raises(DimensionError, match="^measure_time must be a bool, got "):
             ExperimentSpec(mode="snr_sweep", measure_time=flag)
+    # the mode is a string and the output directory a path, not converted
+    for mode in (["x"], {}, None, 3):
+        with pytest.raises(DimensionError, match="^mode must be one of "):
+            ExperimentSpec(mode=mode)
+    for out in (None, 3, b"x"):
+        with pytest.raises(DimensionError, match="^output_dir must be a str or os.PathLike, got "):
+            ExperimentSpec(mode="snr_sweep", output_dir=out)
+    assert ExperimentSpec(mode="snr_sweep", output_dir=Path("x")).output_dir == Path("x")
 
 
 def test_spec_takes_bare_sweep_values():
@@ -644,6 +652,18 @@ def test_cli_rejects_non_boolean_no_timing(tmp_path, capsys, flag):
     assert main(["snr-sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "error: no_timing must be true or false, got " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [None, 3])
+def test_cli_rejects_non_path_out_in_config(tmp_path, capsys, monkeypatch, out):
+    # the output directory reaches the spec as written, not as str(out)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out": out, "trials": 1}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["snr-sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output_dir must be a str or os.PathLike, got {out!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -19,12 +19,8 @@ from milac import (
     beamformer_from_scattering,
     check_lossless_reciprocal,
     generate_rayleigh,
-    load_solution,
     map_digital_to_milac,
-    save_matrix,
-    save_solution,
     sum_rate,
-    verify_phi_feasibility,
 )
 
 
@@ -142,33 +138,48 @@ def test_effective_beamformer_matches_input():
     assert np.allclose(sol.G, d.Pd, atol=1e-10)
 
 
+def _phi_feasibility(S, U1):
+    """Dense reference check of the second layer against a given U1.
+
+    Frobenius residuals of the upper-left K x K block Phi11, the range
+    orthogonality U1^H Phi22, the completeness U1 U1^H + Phi22 Phi22^H - I
+    and the symmetry Phi22 - Phi22^T, read off every entry of the
+    (L+K) x (L+K) matrix S.
+    """
+    L, K = U1.shape
+    assert S.shape == (L + K, L + K)
+    Phi22 = S[K:, K:]
+    return {
+        "phi11": np.linalg.norm(S[:K, :K]),
+        "orthogonality": np.linalg.norm(U1.conj().T @ Phi22),
+        "completeness": np.linalg.norm(U1 @ U1.conj().T + Phi22 @ Phi22.conj().T - np.eye(L)),
+        "symmetry": np.linalg.norm(Phi22 - Phi22.T),
+    }
+
+
 def test_phi_feasibility_both_signs():
     d = random_beamformer(6, 2, Pt=1.0, seed=21)
     sol = map_digital_to_milac(d)
     U, _, _ = np.linalg.svd(d.Pd, full_matrices=True)
     U1, U2 = U[:, :2], U[:, 2:]
-    rep = verify_phi_feasibility(sol.Phi, U1)
-    assert rep.passed
+    assert max(_phi_feasibility(sol.Phi.S, U1).values()) <= 1e-10
 
     # flipping the sign of the lower-right block stays feasible
-    import milac.network as net
     Phi_flipped = sol.Phi.S.copy()
     Phi_flipped[2:, 2:] = U2 @ U2.T
-    rep2 = verify_phi_feasibility(net.ScatteringMatrix(S=Phi_flipped), U1)
-    assert rep2.passed
+    assert max(_phi_feasibility(Phi_flipped, U1).values()) <= 1e-10
 
 
 def test_phi_feasibility_rejects_identity_block():
-    import milac.network as net
     d = random_beamformer(6, 2, Pt=1.0, seed=22)
     sol = map_digital_to_milac(d)
     U, _, _ = np.linalg.svd(d.Pd, full_matrices=True)
     U1 = U[:, :2]
     bad = sol.Phi.S.copy()
     bad[2:, 2:] = np.eye(6)
-    rep = verify_phi_feasibility(net.ScatteringMatrix(S=bad), U1)
-    assert not rep.passed
-    assert rep.orthogonality_residual > 1e-6
+    residuals = _phi_feasibility(bad, U1)
+    assert max(residuals.values()) > 1e-10
+    assert residuals["orthogonality"] > 1e-6
 
 
 def test_power_step_cases():
@@ -193,19 +204,6 @@ def test_sum_rate_invariance():
     r_digital = sum_rate(ch.H, d.Pd, ch.sigma)
     r_analog = sum_rate(ch.H, sol.G, ch.sigma)
     assert r_analog == pytest.approx(r_digital, abs=1e-9)
-
-
-def test_solution_serialization(tmp_path):
-    d = random_beamformer(5, 2, Pt=1.0, seed=30)
-    sol = map_digital_to_milac(d)
-    save_solution(tmp_path, sol)
-    out = load_solution(tmp_path)
-    assert np.array_equal(out.Theta.S, sol.Theta.S)
-    assert np.array_equal(out.Phi.S, sol.Phi.S)
-    assert np.array_equal(out.Psqrt, sol.Psqrt)
-    assert np.array_equal(out.F, sol.F)
-    assert np.array_equal(out.W, sol.W)
-    assert np.array_equal(out.G, sol.G)
 
 
 def test_derived_blocks_follow_scattering_matrices():
@@ -261,7 +259,7 @@ def test_complement_layer(case):
     # the U1 the layer was built from sits in Phi21 unscaled
     U1 = sol.Phi.S[K:, :K]
     assert np.linalg.norm(U1.conj().T @ U1 - np.eye(K)) <= 1e-12
-    assert verify_phi_feasibility(sol.Phi, U1, tol=1e-10).passed
+    assert max(_phi_feasibility(sol.Phi.S, U1).values()) <= 1e-10
     Phi22 = sol.Phi.S[K:, K:]
     target = np.eye(L) - U1 @ U1.conj().T
     assert np.linalg.norm(Phi22 @ Phi22.conj().T - target) <= 1e-12
@@ -337,14 +335,12 @@ def _dense_second_layer(Pd):
 
 
 @pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
-def test_factored_phi_materializes_bit_identical(case, tmp_path):
+def test_factored_phi_materializes_bit_identical(case):
     d = COMPLEMENT_CASES[case]()
     sol = map_digital_to_milac(d)
     assert isinstance(sol.Phi, FactoredScattering)
     assert np.array_equal(sol.Phi.S, _dense_second_layer(d.Pd))
     assert np.array_equal(sol.W, sol.Phi.S[d.K:, :d.K] / 2)
-    save_solution(tmp_path, sol)
-    assert np.array_equal(load_solution(tmp_path).Phi.S, sol.Phi.S)
 
 
 def _structured_with_zeros():
@@ -367,7 +363,7 @@ KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_layer_kernels_match_written_out_formulas(case, tmp_path):
+def test_layer_kernels_match_written_out_formulas(case):
     # the reflectors, the half-scaled blocks and G equal, bit for bit, the
     # plain formulas: V as the strict lower triangle of the raw QR's h.T
     # with a unit diagonal, and the blocks as halves of Theta21 and Phi21
@@ -384,16 +380,14 @@ def test_layer_kernels_match_written_out_formulas(case, tmp_path):
     assert np.array_equal(beamformer_from_scattering(sol.Phi, K, L), W)
     dense = TwoLayerSolution(Theta=sol.Theta, Phi=sol.Phi.S, Psqrt=sol.Psqrt)
     assert np.array_equal(dense.W, W) and np.array_equal(dense.G, sol.G)
-    # the written layers are byte for byte those of the written-out factors
+    # the dense layers are bit for bit, signed zeros included, those of the
+    # written-out factors
     Vh = np.linalg.svd(np.triu(np.linalg.qr(d.Pd, mode="raw")[0][:, :K].T))[2]
     Theta = np.zeros((2 * K, 2 * K), dtype=np.complex128)
     Theta[:K, K:] = Vh.T
     Theta[K:, :K] = Vh
-    save_solution(tmp_path / "sol", sol)
-    save_matrix(tmp_path / "theta.txt", Theta)
-    save_matrix(tmp_path / "phi.txt", _dense_second_layer(d.Pd))
-    for name in ("theta.txt", "phi.txt"):
-        assert (tmp_path / "sol" / name).read_bytes() == (tmp_path / name).read_bytes()
+    for layer, written_out in ((sol.Theta.S, Theta), (sol.Phi.S, _dense_second_layer(d.Pd))):
+        assert np.array_equal(layer.view(np.uint64), written_out.view(np.uint64))
 
 
 @pytest.mark.parametrize("case", ["32x4", "512x8", "16x16", "structured_zeros"])
@@ -416,13 +410,6 @@ def test_triangle_is_triu_bit_for_bit(case, monkeypatch):
     assert np.array_equal(sol.Phi.S, _dense_second_layer(d.Pd))
     mask = milac.mapping._strictly_lower(K)
     assert mask is milac.mapping._strictly_lower(K) and not mask.flags.writeable
-
-
-def test_phi_feasibility_rejects_bad_tol():
-    sol = map_digital_to_milac(random_beamformer(4, 2, Pt=1.0, seed=3))
-    for tol in (np.nan, -1.0, 0.0, np.inf, True):
-        with pytest.raises(DimensionError, match="^tol must be finite and positive"):
-            verify_phi_feasibility(sol.Phi, sol.Phi.U1, tol=tol)
 
 
 def _criterion_1_beamformers():
@@ -535,9 +522,9 @@ def test_mapping_checks_each_layer_once(monkeypatch):
     assert seen == ["ScatteringMatrix", "FactoredScattering"]
 
 
-def test_dense_phi_still_checked_densely(tmp_path):
-    # a solution handed a dense Phi, raw or wrapped or from files, is
-    # certified by the dense check, which sees any entry
+def test_dense_phi_still_checked_densely():
+    # a solution handed a dense Phi, raw or wrapped, is certified by the
+    # dense check, which sees any entry
     sol = map_digital_to_milac(random_beamformer(10, 3, Pt=1.0, seed=6))
     dense = np.array(sol.Phi.S)
     for Phi in (dense, ScatteringMatrix(S=dense)):
@@ -549,10 +536,6 @@ def test_dense_phi_still_checked_densely(tmp_path):
     for Phi in (bad, ScatteringMatrix(S=bad)):
         with pytest.raises(InconsistentSolutionError, match="Phi"):
             TwoLayerSolution(Theta=sol.Theta, Phi=Phi, Psqrt=sol.Psqrt)
-    save_solution(tmp_path, sol)
-    save_matrix(tmp_path / "phi.txt", bad)
-    with pytest.raises(InconsistentSolutionError, match="Phi"):
-        load_solution(tmp_path)
 
 
 def test_gains_must_be_finite():

@@ -97,6 +97,16 @@ def test_admittance_errors():
                             ({}, {True: 1j}), ({}, {2: 1j})):
         with pytest.raises(DimensionError):
             admittance_from_components(offdiag, ground, 2)
+    # both arguments are mappings whose values are numbers, not bools or strings
+    for bad in ("x", "1j", True, np.True_, None, [1]):
+        with pytest.raises(DimensionError, match=r"^offdiag value at \(0, 1\) must be a number"):
+            admittance_from_components({(0, 1): bad}, {}, 2)
+        with pytest.raises(DimensionError, match="^ground value at 1 must be a number"):
+            admittance_from_components({}, {1: bad}, 2)
+    for offdiag, ground, name in (([((0, 1), 1j)], {}, "offdiag"), ({}, [1j, 1j], "ground"),
+                                  (None, {}, "offdiag"), ({}, None, "ground")):
+        with pytest.raises(DimensionError, match=f"^{name} must be a mapping"):
+            admittance_from_components(offdiag, ground, 2)
 
 
 def test_scattering_open_network():
