@@ -2,22 +2,20 @@
 programming loop run in full antenna dimension, a zero-forcing baseline,
 and an exhaustive-search oracle for tiny instances.
 
-zero_forcing keeps each channel's unit-norm beam directions in a private
-cache weakly keyed by its ChannelSet, which is frozen, so the directions
-are computed at a channel's first call and reused at every power. An
-entry lives exactly as long as its ChannelSet; a rank-deficient channel
-is never cached and raises at every call.
+zero_forcing computes a channel's unit-norm beam directions once and
+reuses them at every power while the ChannelSet lives, in the memo that
+keeps its reduction (channel._per_channel).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, reduce_channel
-from .errors import DimensionError, RankDeficientError, check_count, check_positive
+from .channel import ChannelSet, _per_channel, reduce_channel
+from .errors import (DimensionError, RankDeficientError, check_count, check_positive,
+                     check_type)
 from .optimizer import LN2, SolveReport, SolverConfig, run_fp
 
 # the oracle's compass search: sweeps per sample, and the first step on the
@@ -45,6 +43,7 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     reduction; used to validate that the reduction loses nothing. The
     L x K iterate is reported in the Pd field and T_final is None.
     """
+    check_type("channel", ch, ChannelSet)
     T, history, iterations, wall, stop_reason, rates = run_fp(ch.H, ch.sigma, cfg, init=init)
     return SolveReport(
         T_final=None,
@@ -58,11 +57,6 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     )
 
 
-# ChannelSet -> read-only unit-norm columns of H (H^H H)^(-1); see the
-# module docstring
-_ZF_CACHE = weakref.WeakKeyDictionary()
-
-
 def zero_forcing(ch: ChannelSet, Pt: float) -> np.ndarray:
     """Pseudo-inverse precoder with equal per-user power.
 
@@ -72,18 +66,20 @@ def zero_forcing(ch: ChannelSet, Pt: float) -> np.ndarray:
     ChannelSet and reused at every Pt (see the module docstring).
     """
     Pt = check_positive("Pt", Pt)
-    Dn = _ZF_CACHE.get(ch)
-    if Dn is None:
-        H = ch.H
-        gram = H.conj().T @ H
-        if np.linalg.cond(gram) >= 1e12:
-            raise RankDeficientError("channel Gram matrix is numerically singular")
-        D = np.linalg.solve(gram.conj().T, H.conj().T).conj().T  # H (H^H H)^(-1)
-        norms = np.linalg.norm(D, axis=0)
-        Dn = D / norms[None, :]
-        Dn.setflags(write=False)
-        _ZF_CACHE[ch] = Dn
+    Dn = _per_channel(_zf_directions, ch)
     return np.sqrt(Pt / ch.K) * Dn
+
+
+def _zf_directions(ch: ChannelSet) -> np.ndarray:
+    # read-only unit-norm columns of H (H^H H)^(-1)
+    H = ch.H
+    gram = H.conj().T @ H
+    if np.linalg.cond(gram) >= 1e12:
+        raise RankDeficientError("channel Gram matrix is numerically singular")
+    D = np.linalg.solve(gram.conj().T, H.conj().T).conj().T  # H (H^H H)^(-1)
+    Dn = D / np.linalg.norm(D, axis=0)[None, :]
+    Dn.setflags(write=False)
+    return Dn
 
 
 def _abs2(z):
@@ -121,6 +117,7 @@ def brute_force_oracle(ch: ChannelSet, Pt: float, cfg: OracleConfig = OracleConf
     2*L*K <= 8 real dimensions, and Pt must be finite and positive.
     """
     Pt = check_positive("Pt", Pt)
+    check_type("channel", ch, ChannelSet)
     if 2 * ch.L * ch.K > 8:
         raise DimensionError(
             f"instance has {2 * ch.L * ch.K} real dimensions, limit is 8"

@@ -3,11 +3,12 @@ range-space reduction that shrinks the precoder search to K dimensions."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficientError, check_count
+from .errors import DimensionError, RankDeficientError, check_count, check_type
 
 RANK_TOL = 1e-12
 
@@ -24,7 +25,8 @@ class ChannelSet:
 
     H holds one column per user (L x K), sigma the per-user noise standard
     deviations. Arrays are stored read-only, so an instance can be shared
-    by every architecture and SNR point that uses it.
+    by every architecture and SNR point that uses it. Instances hash by
+    identity; see _per_channel for what is kept per instance.
     """
 
     H: np.ndarray
@@ -100,14 +102,33 @@ def generate_rayleigh(L: int, K: int, seed) -> ChannelSet:
     return ChannelSet(H=H)
 
 
+# ChannelSet -> {fn: fn(ch)}, held weakly: an entry goes with its channel
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _per_channel(fn, ch):
+    """fn(ch), computed once and kept while ch lives; fn's result must not
+    refer to ch. A call that raises keeps nothing. DimensionError for
+    anything but a ChannelSet."""
+    if fn not in _MEMO.get(check_type("channel", ch, ChannelSet), {}):
+        value = fn(ch)  # first, as fn may itself keep a value for ch
+        _MEMO.setdefault(ch, {})[fn] = value
+    return _MEMO[ch][fn]
+
+
 def reduce_channel(ch: ChannelSet) -> ReducedChannel:
     """Factor H = Q Sigma R^H and form Hbar = Q^H H = Sigma R^H.
 
     The reduction preserves the Gram matrix (Hbar^H Hbar = H^H H), so any
     precoder expressed in the Q basis achieves the same rates as its
     full-dimension image. Raises RankDeficientError when the smallest
-    singular value falls below RANK_TOL times the largest.
+    singular value falls below RANK_TOL times the largest. The reduction
+    is computed once per channel and kept while the channel lives.
     """
+    return _per_channel(_reduce, ch)
+
+
+def _reduce(ch: ChannelSet) -> ReducedChannel:
     Q, s, _ = np.linalg.svd(ch.H, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientError(

@@ -1,5 +1,5 @@
-"""Exception types raised by the milac package, and the scalar argument
-checks that raise DimensionError."""
+"""Exception types raised by the milac package, and the argument checks
+that raise DimensionError."""
 
 import math
 import operator
@@ -64,3 +64,10 @@ def check_count(name: str, value, minimum: int) -> int:
     if n < minimum:
         raise DimensionError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def check_type(name: str, value, cls):
+    """value; DimensionError naming its type unless it is a cls."""
+    if not isinstance(value, cls):
+        raise DimensionError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -8,12 +8,12 @@ sees the same fading for a given trial (paired comparison). The
 two_layer architecture realizes the digital_reduced solution of the same
 trial, so its wall time covers the mapping alone.
 
-Within one run_experiment call a private memo keeps each trial's channel
-and its range-space reduction, keyed by (L, K, seed), so a trial draws and
-reduces its channel once and reuses both at every SNR point. The memo is
-emptied when the sweep starts and when it ends, whether it returns or
-raises, and holds one antenna count's trials at a time; a reduction that
-raises is not kept. Outside run_experiment, run_point draws afresh.
+Within one run_experiment call a private memo keeps each trial's channel,
+keyed by (L, K, seed), so a trial draws its channel once and reuses it at
+every SNR point, and the channel's reduction and zero-forcing directions
+are computed once. The memo is emptied when the sweep starts and when it
+ends, whether it returns or raises, and holds one antenna count's trials
+at a time. Outside run_experiment, run_point draws afresh.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from .baselines import solve_full_dim, zero_forcing
 from .channel import generate_rayleigh, reduce_channel
-from .errors import BOOLS, DimensionError, MilacError, check_count, check_positive
+from .errors import (BOOLS, DimensionError, MilacError, check_count, check_positive,
+                     check_type)
 from .mapping import DigitalBeamformer, map_digital_to_milac
 from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
 
@@ -107,8 +108,7 @@ class ExperimentSpec:
             if len(set(values)) < len(values):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise DimensionError(f"sweep repeats {name} {repeated}")
-        if not isinstance(self.solver, SolverConfig):
-            raise DimensionError(f"solver must be a SolverConfig, got {self.solver!r}")
+        check_type("solver", self.solver, SolverConfig)
         if not isinstance(self.measure_time, bool):
             raise DimensionError(f"measure_time must be a bool, got {self.measure_time!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -187,36 +187,20 @@ def _lines(rows) -> str:
     return "".join(_csv(vars(row).values()) for row in rows)
 
 
-class _Trial:
-    """One trial's channel and, from its first use, its reduction."""
-
-    __slots__ = ("ch", "_reduced")
-
-    def __init__(self, ch):
-        self.ch = ch
-        self._reduced = None
-
-    def reduced(self):
-        if self._reduced is None:  # a reduction that raised is retried, not kept
-            self._reduced = reduce_channel(self.ch)
-        return self._reduced
-
-
-# (L, K, seed) -> _Trial for the running sweep's trials at one L; None
+# (L, K, seed) -> ChannelSet for the running sweep's trials at one L; None
 # outside run_experiment (see the module docstring)
 _trials = None
 
 
-def _trial(L: int, K: int, seed: int) -> _Trial:
+def _trial(L: int, K: int, seed: int):
     if _trials is None:
-        return _Trial(generate_rayleigh(L, K, seed))
+        return generate_rayleigh(L, K, seed)
     key = (L, K, seed)
-    trial = _trials.get(key)
-    if trial is None:
+    if key not in _trials:
         if _trials and next(iter(_trials))[0] != L:
             _trials.clear()
-        trial = _trials[key] = _Trial(generate_rayleigh(L, K, seed))
-    return trial
+        _trials[key] = generate_rayleigh(L, K, seed)
+    return _trials[key]
 
 
 def _use_memo(memo):
@@ -224,17 +208,17 @@ def _use_memo(memo):
     _trials = memo
 
 
-def _digital_full(trial, cfg, done):
-    rep = solve_full_dim(trial.ch, cfg)
+def _digital_full(ch, cfg, done):
+    rep = solve_full_dim(ch, cfg)
     return rep.Pd, rep.iterations, rep
 
 
-def _digital_reduced(trial, cfg, done):
-    rep = solve_psla(trial.reduced(), cfg)
+def _digital_reduced(ch, cfg, done):
+    rep = solve_psla(reduce_channel(ch), cfg)
     return rep.Pd, rep.iterations, rep
 
 
-def _two_layer(trial, cfg, done):
+def _two_layer(ch, cfg, done):
     reduced = done["digital_reduced"]
     if isinstance(reduced, Exception):
         raise reduced
@@ -242,12 +226,12 @@ def _two_layer(trial, cfg, done):
     return sol.G, reduced.iterations, None
 
 
-def _zero_forcing(trial, cfg, done):
-    return zero_forcing(trial.ch, cfg.Pt), 0, None
+def _zero_forcing(ch, cfg, done):
+    return zero_forcing(ch, cfg.Pt), 0, None
 
 
-# architecture -> fn(trial, cfg, done) returning (precoder, iterations,
-# solve report or None); trial is the cell's _Trial, and done maps each
+# architecture -> fn(ch, cfg, done) returning (precoder, iterations,
+# solve report or None); ch is the cell's ChannelSet, and done maps each
 # architecture already run on the cell to its report or to the exception
 # it raised
 RUNNERS = {
@@ -276,13 +260,12 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     two_layer maps the digital_reduced solution of the same cell: its row
     repeats that solve's iteration count, its wall time covers the mapping
     alone, and it fails with digital_reduced's error if that solve failed.
-    Within a sweep the trial's channel and reduction come from the memo, so
-    digital_reduced's wall time includes the reduction only where it is
-    computed, at the trial's first SNR point.
+    Within a sweep the trial's channel comes from the memo, so the wall
+    times of digital_reduced and zero_forcing include the reduction and the
+    beam directions only at the trial's first SNR point.
     """
     seed = spec.base_seed + trial
-    drawn = _trial(L, spec.K, seed)
-    ch = drawn.ch
+    ch = _trial(L, spec.K, seed)
     cfg = replace(spec.solver, Pt=snr_to_power(snr_db))
     cell = dict(mode=spec.mode, L=L, K=spec.K, snr_db=snr_db, trial=trial)
     rows, records, iter_rows = [], [], []
@@ -294,7 +277,7 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     for arch in MODES[spec.mode]:
         t0 = time.perf_counter()
         try:
-            P, iterations, rep = RUNNERS[arch](drawn, cfg, done)
+            P, iterations, rep = RUNNERS[arch](ch, cfg, done)
         except (MilacError, np.linalg.LinAlgError) as exc:
             wall = clock(t0)
             rows.append(SweepRow(**cell, architecture=arch, sum_rate=math.nan,
@@ -334,9 +317,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     another in this process, antenna count, then SNR point, then trial.
     Returns the tuple of SweepRow written to results.csv, in file order.
 
-    Each trial's channel and reduction are computed once per antenna count
-    and reused at every SNR point: the trial memo is opened empty on entry
-    and dropped on exit, returned or raised, so every call recomputes.
+    Each trial's channel is drawn once per antenna count and reused at
+    every SNR point: the trial memo is opened empty on entry and dropped on
+    exit, returned or raised, so every call draws afresh.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)

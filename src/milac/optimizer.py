@@ -27,6 +27,7 @@ from .errors import (
     NumericalError,
     check_count,
     check_positive,
+    check_type,
 )
 from .mapping import DigitalBeamformer, TwoLayerSolution, map_digital_to_milac
 
@@ -307,9 +308,10 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     Inputs are validated once on entry. Each round then forms one product
     C = Heff^H T and reads off it the rate of T and the auxiliaries of the
     next exact step, so it matches update_alpha_beta, update_T and
-    sum_rate called in turn.
+    sum_rate called in turn. cfg must be a SolverConfig.
     """
     t0 = time.perf_counter()
+    check_type("cfg", cfg, SolverConfig)
     Heff, sigma = _validate_channel(Heff, sigma)
     Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
     if init is None:
@@ -350,6 +352,7 @@ def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport
     cfg.max_outer rounds elapse. The returned Pd = Q T lifts the solution
     back to the antenna domain.
     """
+    check_type("reduced channel", red, ReducedChannel)
     T, history, iterations, wall, stop_reason, rates = run_fp(red.Hbar, red.sigma, cfg,
                                                               init=init)
     return SolveReport(

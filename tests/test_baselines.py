@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import milac.baselines
+import milac.channel
 from milac import (
     ChannelSet,
     DimensionError,
@@ -131,25 +132,31 @@ def test_zero_forcing_directions_computed_once_per_channel(monkeypatch):
     assert np.array_equal(zero_forcing(ch, 1.0), outputs[0])
 
 
-def test_zero_forcing_rank_deficient_raises_every_call():
+def test_zero_forcing_rank_deficient_raises_every_call(monkeypatch):
     h = generate_rayleigh(4, 1, seed=0).H
     ch = ChannelSet(H=np.hstack([h, h]))
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
     for _ in range(2):
         with pytest.raises(RankDeficientError):
             zero_forcing(ch, Pt=1.0)
-    assert ch not in milac.baselines._ZF_CACHE
+    # nothing is kept: the second call computes the directions again
+    assert len(conds) == 2
+    assert ch not in milac.channel._MEMO
 
 
 def test_zero_forcing_cache_lives_with_its_channel():
     ch = generate_rayleigh(8, 2, seed=1)
     zero_forcing(ch, 1.0)
-    assert ch in milac.baselines._ZF_CACHE
-    before = len(milac.baselines._ZF_CACHE)
+    directions = weakref.ref(milac.channel._MEMO[ch][milac.baselines._zf_directions])
+    gc.collect()  # only ch can leave the memo below
+    before = len(milac.channel._MEMO)
     alive = weakref.ref(ch)
     del ch
     gc.collect()
-    assert alive() is None
-    assert len(milac.baselines._ZF_CACHE) == before - 1
+    assert alive() is None and directions() is None
+    assert len(milac.channel._MEMO) == before - 1
 
 
 def test_oracle_config_validation():

@@ -1,10 +1,14 @@
-"""Channel generation, range-space reduction, and serialization."""
+"""Channel generation, range-space reduction, and the per-channel memo."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import milac.channel
 from milac import (
     ChannelSet,
     DimensionError,
@@ -144,11 +148,58 @@ def test_reduce_matches_loop_reference():
             assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * scale
 
 
-def test_reduce_rank_deficient():
+def test_reduce_rank_deficient(monkeypatch):
     h = generate_rayleigh(4, 1, seed=0).H
     ch = ChannelSet(H=np.hstack([h, h]))
-    with pytest.raises(RankDeficientError):
-        reduce_channel(ch)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            reduce_channel(ch)
+    # a reduction that raised is not kept: every call computes it again
+    assert len(svds) == 2
+    assert ch not in milac.channel._MEMO
+
+
+def test_reduce_kept_per_channel():
+    ch = generate_rayleigh(16, 4, seed=2)
+    red = reduce_channel(ch)
+    assert reduce_channel(ch) is red
+    # kept by channel object, not by value: an equal channel reduces afresh
+    fresh = reduce_channel(ChannelSet(H=ch.H, sigma=ch.sigma))
+    assert fresh is not red
+    for got, want in zip((fresh.Q, fresh.Hbar, fresh.sigma), (red.Q, red.Hbar, red.sigma)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_memo_keeps_a_value_computed_inside_another():
+    ch = generate_rayleigh(8, 2, seed=3)
+
+    def rank(c):
+        return reduce_channel(c).Hbar.shape[0]
+
+    assert milac.channel._per_channel(rank, ch) == 2
+    kept = milac.channel._MEMO[ch]
+    assert set(kept) == {milac.channel._reduce, rank}
+    assert reduce_channel(ch) is kept[milac.channel._reduce]
+
+
+def test_memo_keeps_neither_channel_nor_reduction_alive():
+    ch = generate_rayleigh(8, 2, seed=4)
+    refs = (weakref.ref(ch), weakref.ref(reduce_channel(ch)))
+    gc.collect()  # only ch can leave the memo below
+    before = len(milac.channel._MEMO)
+    del ch
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(milac.channel._MEMO) == before - 1
+
+
+@pytest.mark.parametrize("bad", [np.eye(2), None, "H", {"H": np.eye(2)}])
+def test_reduce_refuses_a_non_channel(bad):
+    with pytest.raises(DimensionError, match=f"^channel must be a ChannelSet, got {type(bad).__name__}$"):
+        reduce_channel(bad)
 
 
 def test_reduce_carries_sigma():

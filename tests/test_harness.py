@@ -379,11 +379,14 @@ def test_import_leaves_out_the_process_pool(tmp_path):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the harness's channel draws and reductions, keyed by (L, seed)."""
+    """Count the harness's channel draws and the reductions computed, keyed
+    by (L, seed). reduce_channel keeps a channel's reduction, so a call
+    that finds it kept is not counted."""
+    import milac.channel
     import milac.harness as harness
 
     draws, reductions, seeds = [], [], {}
-    generate, reduce = harness.generate_rayleigh, harness.reduce_channel
+    generate, reduce = harness.generate_rayleigh, milac.channel._reduce
 
     def counting_generate(L, K, seed):
         # the memo holds one antenna count's trials: none of another L here
@@ -398,7 +401,7 @@ def counted(monkeypatch):
         return reduce(ch)
 
     monkeypatch.setattr(harness, "generate_rayleigh", counting_generate)
-    monkeypatch.setattr(harness, "reduce_channel", counting_reduce)
+    monkeypatch.setattr(milac.channel, "_reduce", counting_reduce)
     return draws, reductions
 
 
@@ -442,10 +445,10 @@ def test_run_point_outside_a_sweep_draws_afresh(tmp_path, counted):
 
 
 def test_failed_reduction_fails_its_trial_at_every_snr_point(tmp_path, counted, monkeypatch):
-    import milac.harness as harness
+    import milac.channel
 
     draws, reductions = counted
-    reduce = harness.reduce_channel
+    reduce = milac.channel._reduce
     bad = generate_rayleigh(8, 2, 1).H
 
     def failing_reduce(ch):
@@ -454,7 +457,7 @@ def test_failed_reduction_fails_its_trial_at_every_snr_point(tmp_path, counted, 
             raise RankDeficientError("synthetic reduction failure")
         return out
 
-    monkeypatch.setattr(harness, "reduce_channel", failing_reduce)
+    monkeypatch.setattr(milac.channel, "_reduce", failing_reduce)
     snrs = (0.0, 10.0, 20.0)
     rows = run_experiment(small_spec(tmp_path, snr_db_values=snrs, trials=2))
     # the failed reduction is not kept: trial 1 retries it at each point

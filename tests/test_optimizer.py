@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milac import (
+    ChannelSet,
     DimensionError,
     InconsistentSolutionError,
     NumericalError,
@@ -29,7 +30,7 @@ from milac import (
     user_rates,
 )
 import milac.optimizer
-from milac.baselines import solve_full_dim
+from milac.baselines import brute_force_oracle, solve_full_dim, zero_forcing
 from milac.optimizer import _power_multiplier, project_power, report_record, run_fp
 
 
@@ -406,6 +407,44 @@ def test_solve_two_layer_equivalence():
     assert abs(sum_rate(ch.H, sol.G, ch.sigma) - sum_rate(ch.H, rep.Pd, ch.sigma)) <= 1e-9
     assert check_lossless_reciprocal(sol.Theta, tol=1e-10).passed
     assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
+
+
+def test_solve_two_layer_warm_channel_bit_identical():
+    # a channel whose reduction is already kept solves exactly as a fresh one
+    ch = generate_rayleigh(32, 4, seed=6)
+    solve_two_layer(ch, SolverConfig(Pt=1.0))
+    for Pt in (10.0, 1000.0):
+        cfg = SolverConfig(Pt=Pt)
+        (warm, warm_sol), (cold, cold_sol) = (solve_two_layer(c, cfg)
+                                              for c in (ch, ChannelSet(H=ch.H)))
+        assert warm.sum_rate == cold.sum_rate
+        pairs = [(warm.Pd, cold.Pd), (warm_sol.Theta.S, cold_sol.Theta.S)]
+        pairs += [(getattr(warm_sol.Phi, f), getattr(cold_sol.Phi, f)) for f in ("V", "T", "Ur")]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.ones((4, 2)), None])
+def test_channel_functions_refuse_a_non_channel(bad):
+    msg = f"^channel must be a ChannelSet, got {type(bad).__name__}$"
+    cfg = SolverConfig(Pt=1.0)
+    for call in (lambda: zero_forcing(bad, 1.0), lambda: solve_full_dim(bad, cfg),
+                 lambda: solve_two_layer(bad, cfg), lambda: brute_force_oracle(bad, 1.0)):
+        with pytest.raises(DimensionError, match=msg):
+            call()
+
+
+def test_solvers_refuse_a_wrong_channel_or_config():
+    ch = generate_rayleigh(4, 2, seed=3)
+    red = reduce_channel(ch)
+    with pytest.raises(DimensionError, match="^reduced channel must be a ReducedChannel, got ChannelSet$"):
+        solve_psla(ch, SolverConfig(Pt=1.0))
+    for call, bad in ((lambda: solve_psla(red, None), "NoneType"),
+                      (lambda: solve_two_layer(ch, {"Pt": 1}), "dict"),
+                      (lambda: solve_full_dim(ch, 1.0), "float"),
+                      (lambda: run_fp(ch.H, ch.sigma, None), "NoneType")):
+        with pytest.raises(DimensionError, match=f"^cfg must be a SolverConfig, got {bad}$"):
+            call()
 
 
 def test_solve_two_layer_rank_one_structure():
