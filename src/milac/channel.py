@@ -13,8 +13,8 @@ from .errors import DimensionError, RankDeficientError, check_count, check_type
 RANK_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -33,7 +33,9 @@ class ChannelSet:
     sigma: np.ndarray = None  # defaults to unit noise
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.complex128)
+        H = np.asarray(self.H)
+        if H.dtype.kind not in "iufc":  # a bool or a string is not a gain
+            raise DimensionError(f"H must hold numbers, got dtype {H.dtype}")
         if H.ndim != 2:
             raise DimensionError(f"H must be 2-D, got ndim={H.ndim}")
         L, K = H.shape
@@ -41,14 +43,15 @@ class ChannelSet:
             raise DimensionError(f"need L >= K >= 1, got L={L}, K={K}")
         if not np.all(np.isfinite(H)):
             raise DimensionError("H has non-finite entries")
-        sigma = self.sigma
-        sigma = np.ones(K) if sigma is None else np.asarray(sigma, dtype=float)
+        sigma = np.ones(K) if self.sigma is None else np.asarray(self.sigma)
+        if sigma.dtype.kind not in "iuf":  # a bool is never a power
+            raise DimensionError(f"sigma must hold real numbers, got dtype {sigma.dtype}")
         if sigma.shape != (K,):
             raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
             raise DimensionError("sigma entries must be positive and finite")
-        object.__setattr__(self, "H", _readonly(H))
-        object.__setattr__(self, "sigma", _readonly(sigma))
+        object.__setattr__(self, "H", _readonly(H, np.complex128))
+        object.__setattr__(self, "sigma", _readonly(sigma, float))
 
     @property
     def L(self) -> int:
@@ -92,11 +95,12 @@ def generate_rayleigh(L: int, K: int, seed) -> ChannelSet:
 
     Each entry is circularly symmetric complex Gaussian with unit variance
     (independent real and imaginary parts of variance 1/2, drawn from a
-    PCG64 generator constructed from `seed`). The same seed reproduces the
-    same matrix on any platform. Noise levels default to sigma_k = 1.
+    PCG64 generator seeded with the integer seed >= 0). The same seed
+    reproduces the same matrix on any platform. Noise levels default to 1.
     """
     K = check_count("K", K, 1)
     L = check_count(f"L for K={K}", L, K)
+    seed = check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     H = (rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))) * np.sqrt(0.5)
     return ChannelSet(H=H)

@@ -298,15 +298,9 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
     """Frobenius residuals of unitarity (S^H S = I) and symmetry (S = S^T).
 
     S is a ScatteringMatrix, a raw array or a FactoredScattering. Dense
-    input: with S = A + jB, the Gram S^H S has real part A^T A + B^T B and
-    imaginary part X - X^T with X = A^T B. Both are read off one float64
-    buffer R = [A; B] of shape (2n, n): R^T R is a single real rank-2n
-    update (dsyrk) over the n(n+1)/2 entries of a symmetric result, and X
-    is one real product (dgemm), about 2n^3 real multiply-adds in all
-    against the 4n^3 of a complex product. The unitarity residual
-    hypot(||A^T A + B^T B - I||_F, ||X - X^T||_F) equals ||S^H S - I||_F up
-    to rounding and is evaluated in float64 whatever the input precision;
-    the symmetry residual is ||S - S^T||_F. Raw arrays are validated as
+    input: the unitarity residual is ||S^H S - I||_F from one complex
+    product and the symmetry residual is ||S - S^T||_F, both evaluated in
+    complex128 whatever the input precision. Raw arrays are validated as
     ScatteringMatrix does and raise DimensionError unless square and
     finite.
 
@@ -326,19 +320,11 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
             passed=bool(uni <= tol),
         )
     M = S.S if isinstance(S, ScatteringMatrix) else _square(S, "S")
-    n = M.shape[0]
+    M = M.astype(np.complex128, copy=False)
     sym = float(np.linalg.norm(M - M.T))
-    R = np.empty((2 * n, n))
-    R[:n] = M.real
-    R[n:] = M.imag
-    A, B = R[:n], R[n:]
-    # each n x n temporary is freed before the next one is allocated
-    G = R.T @ R
-    G.flat[::n + 1] -= 1.0
-    uni_re = np.linalg.norm(G)
-    del G
-    X = A.T @ B
-    uni = float(np.hypot(uni_re, np.linalg.norm(X - X.T)))
+    G = M.conj().T @ M
+    G.flat[::M.shape[0] + 1] -= 1.0
+    uni = float(np.linalg.norm(G))
     return LosslessReciprocalReport(
         unitarity_residual=uni, symmetry_residual=sym, tol=tol,
         passed=bool(uni <= tol and sym <= tol),

@@ -290,8 +290,11 @@ def _matched_filter(Heff, Pt: float) -> np.ndarray:
 
 
 def random_init(shape, Pt: float, seed) -> np.ndarray:
-    """Seeded complex Gaussian point on the power sphere (for multi-start)."""
+    """Seeded complex Gaussian point on the power sphere (for multi-start);
+    shape is a count or a tuple or list of counts >= 1, seed any numpy seed."""
     Pt = check_positive("Pt", Pt)
+    dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+    shape = tuple(check_count("random_init dimension", n, 1) for n in dims)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return project_power(X, Pt)
@@ -305,10 +308,11 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     and rates the per-user rates of T in bits, equal to
     user_rates(Heff, T, sigma). T's shape matches Heff; init is projected
     onto the power sphere if given, else the start is the matched filter.
-    Inputs are validated once on entry. Each round then forms one product
-    C = Heff^H T and reads off it the rate of T and the auxiliaries of the
-    next exact step, so it matches update_alpha_beta, update_T and
-    sum_rate called in turn. cfg must be a SolverConfig.
+    Inputs are validated once on entry; a start with a NaN or infinite
+    entry raises DimensionError before any round. Each round then forms
+    one product C = Heff^H T and reads off it the rate of T and the
+    auxiliaries of the next exact step, so it matches update_alpha_beta,
+    update_T and sum_rate called in turn. cfg must be a SolverConfig.
     """
     t0 = time.perf_counter()
     check_type("cfg", cfg, SolverConfig)
@@ -322,6 +326,8 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
             raise DimensionError(
                 f"init shape {init.shape} does not match precoder shape {Heff.shape}"
             )
+        if not np.isfinite(init).all():
+            raise DimensionError("init has non-finite entries")
         T = project_power(init, Pt)
     alpha, root, beta = _auxiliaries(Hh @ T, noise)
     history = [_rate(alpha)]
@@ -371,17 +377,17 @@ def solve_two_layer(ch: ChannelSet, cfg: SolverConfig):
     """Reduce, solve, and map onto the two-layer analog architecture.
 
     Returns (SolveReport, TwoLayerSolution). The effective analog
-    beamformer reproduces the digital solution, so both achieve the same
-    sum-rate; a mismatch beyond 1e-9 raises InconsistentSolutionError.
+    beamformer reproduces the digital solution, so its sum-rate on H must
+    match report.sum_rate, the lifted Pd's rate up to rounding; a mismatch
+    beyond 1e-9 raises InconsistentSolutionError.
     """
     red = reduce_channel(ch)
     report = solve_psla(red, cfg)
     sol = map_digital_to_milac(DigitalBeamformer(Pd=report.Pd, Pt=cfg.Pt))
-    digital = sum_rate(ch.H, report.Pd, ch.sigma)
     analog = sum_rate(ch.H, sol.G, ch.sigma)
-    if abs(analog - digital) > 1e-9:
+    if abs(analog - report.sum_rate) > 1e-9:
         raise InconsistentSolutionError(
-            f"two-layer sum-rate {analog!r} deviates from digital {digital!r}"
+            f"two-layer sum-rate {analog!r} deviates from digital {report.sum_rate!r}"
         )
     return report, sol
 

@@ -54,6 +54,37 @@ def test_generate_rejects_bad_counts(L, K):
         generate_rayleigh(L, K, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None, [1, 2]])
+def test_generate_refuses_a_bad_seed(seed):
+    # a seed is an integer >= 0, as ExperimentSpec's base_seed
+    with pytest.raises(DimensionError, match="^seed must be"):
+        generate_rayleigh(4, 2, seed)
+
+
+def test_generate_takes_a_numpy_integer_seed():
+    assert np.array_equal(generate_rayleigh(4, 2, np.int64(3)).H, generate_rayleigh(4, 2, 3).H)
+
+
+@pytest.mark.parametrize("H, sigma, match", [
+    ("ab", None, "^H must hold numbers, got dtype <U2$"),
+    (np.array([["a"], ["b"]], dtype=object), None, "^H must hold numbers, got dtype object$"),
+    (np.eye(2, dtype=bool), None, "^H must hold numbers, got dtype bool$"),
+    (np.eye(2), np.array([True, True]), "^sigma must hold real numbers, got dtype bool$"),
+    (np.eye(2), [True, False], "^sigma must hold real numbers, got dtype bool$"),
+    (np.eye(2), "ab", "^sigma must hold real numbers, got dtype <U2$"),
+    (np.eye(2), np.ones(2, dtype=complex), "^sigma must hold real numbers, got dtype complex128$"),
+])
+def test_channel_set_refuses_non_numeric_input(H, sigma, match):
+    with pytest.raises(DimensionError, match=match):
+        ChannelSet(H=H, sigma=sigma)
+
+
+def test_channel_set_takes_integer_input():
+    ch = ChannelSet(H=[[1, 0], [0, 2]], sigma=[1, 2])
+    assert ch.H.dtype == np.complex128 and ch.sigma.dtype == np.float64
+    assert np.array_equal(ch.sigma, [1.0, 2.0])
+
+
 def test_channel_set_validation():
     with pytest.raises(DimensionError):
         ChannelSet(H=np.ones((2, 3), dtype=complex))

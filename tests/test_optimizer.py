@@ -292,6 +292,19 @@ def test_random_init_deterministic():
     assert np.trace(a @ a.conj().T).real == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, -1), (0, 3), -1, "ab", (2, 1.5), (True, 2), None])
+def test_random_init_refuses_bad_dimensions(shape):
+    with pytest.raises(DimensionError, match="^random_init dimension must be"):
+        random_init(shape, 1.0, 0)
+
+
+def test_random_init_takes_any_numpy_seed():
+    # a count or a list of counts as shape; an int, a list or None as seed
+    assert random_init(3, 1.0, [4, 5]).shape == (3,)
+    assert np.array_equal(random_init([3, 2], 1.0, [4, 5]), random_init((3, 2), 1.0, [4, 5]))
+    assert random_init((np.int64(2), 2), 1.0, None).shape == (2, 2)
+
+
 # ------------------------------------------------------------ solver
 
 def test_solver_config_validation():
@@ -407,6 +420,20 @@ def test_solve_two_layer_equivalence():
     assert abs(sum_rate(ch.H, sol.G, ch.sigma) - sum_rate(ch.H, rep.Pd, ch.sigma)) <= 1e-9
     assert check_lossless_reciprocal(sol.Theta, tol=1e-10).passed
     assert check_lossless_reciprocal(sol.Phi, tol=1e-10).passed
+
+
+def test_solve_two_layer_certifies_the_analog_rate(monkeypatch):
+    # a mapping that realizes a rescaled Pd lowers the analog rate on the
+    # channel, which the rate certificate refuses
+    ch = generate_rayleigh(8, 3, seed=2)
+    mapping = milac.optimizer.map_digital_to_milac
+
+    def rescaled(d):
+        return mapping(dataclasses.replace(d, Pd=0.5 * d.Pd))
+
+    monkeypatch.setattr(milac.optimizer, "map_digital_to_milac", rescaled)
+    with pytest.raises(InconsistentSolutionError, match="deviates from digital"):
+        solve_two_layer(ch, SolverConfig(Pt=10.0))
 
 
 def test_solve_two_layer_warm_channel_bit_identical():
@@ -578,6 +605,26 @@ def test_run_fp_validates_on_entry():
         run_fp(ch.H, np.ones(3), cfg)
     with pytest.raises(DimensionError):
         run_fp(ch.H[:, 0], ch.sigma, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_start_fails_on_entry(monkeypatch, bad):
+    steps = []
+    step = milac.optimizer._exact_step
+    monkeypatch.setattr(milac.optimizer, "_exact_step",
+                        lambda *args: steps.append(1) or step(*args))
+    ch = generate_rayleigh(6, 2, seed=9)
+    cfg = SolverConfig(Pt=10.0)
+    for solve, init in ((lambda x: solve_psla(reduce_channel(ch), cfg, init=x),
+                         random_init((2, 2), 10.0, seed=1)),
+                        (lambda x: solve_full_dim(ch, cfg, init=x),
+                         random_init((6, 2), 10.0, seed=1))):
+        init[1, 0] = bad
+        with pytest.raises(DimensionError, match="^init has non-finite entries$"):
+            solve(init)
+    assert steps == []
+    solve_psla(reduce_channel(ch), cfg)  # the spy sees the steps of a solve
+    assert steps
 
 
 def test_run_fp_rejects_non_finite_objective(monkeypatch):
