@@ -8,13 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficientError, check_count, check_type
+from .errors import (DimensionError, RankDeficientError, check_array, check_count, check_noise,
+                     check_type)
 
 RANK_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.array(a)
     a.setflags(write=False)
     return a
 
@@ -33,25 +34,13 @@ class ChannelSet:
     sigma: np.ndarray = None  # defaults to unit noise
 
     def __post_init__(self):
-        H = np.asarray(self.H)
-        if H.dtype.kind not in "iufc":  # a bool or a string is not a gain
-            raise DimensionError(f"H must hold numbers, got dtype {H.dtype}")
-        if H.ndim != 2:
-            raise DimensionError(f"H must be 2-D, got ndim={H.ndim}")
+        H = check_array("H", self.H, 2)
         L, K = H.shape
         if not (L >= K >= 1):
             raise DimensionError(f"need L >= K >= 1, got L={L}, K={K}")
-        if not np.all(np.isfinite(H)):
-            raise DimensionError("H has non-finite entries")
-        sigma = np.ones(K) if self.sigma is None else np.asarray(self.sigma)
-        if sigma.dtype.kind not in "iuf":  # a bool is never a power
-            raise DimensionError(f"sigma must hold real numbers, got dtype {sigma.dtype}")
-        if sigma.shape != (K,):
-            raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
-            raise DimensionError("sigma entries must be positive and finite")
-        object.__setattr__(self, "H", _readonly(H, np.complex128))
-        object.__setattr__(self, "sigma", _readonly(sigma, float))
+        sigma = check_noise(np.ones(K) if self.sigma is None else self.sigma, K)
+        object.__setattr__(self, "H", _readonly(H))
+        object.__setattr__(self, "sigma", _readonly(sigma))
 
     @property
     def L(self) -> int:
@@ -71,6 +60,8 @@ class ReducedChannel:
     right factor. The first nonzero entry of each column of Q is made real
     and nonnegative so the factorization is unique. sigma is copied from
     the source ChannelSet so the reduced problem is self-contained.
+    Construction checks that Q is L x K with L >= K >= 1, Hbar K x K and
+    both finite, and sigma as ChannelSet does.
     """
 
     Q: np.ndarray
@@ -78,8 +69,16 @@ class ReducedChannel:
     sigma: np.ndarray
 
     def __post_init__(self):
-        for name in ("Q", "Hbar", "sigma"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        Q = check_array("Q", self.Q, 2)
+        L, K = Q.shape
+        if not (L >= K >= 1):
+            raise DimensionError(f"Q must be L x K with L >= K >= 1, got shape {Q.shape}")
+        Hbar = check_array("Hbar", self.Hbar, 2)
+        if Hbar.shape != (K, K):
+            raise DimensionError(f"Hbar must be {K} x {K}, got shape {Hbar.shape}")
+        object.__setattr__(self, "Q", _readonly(Q))
+        object.__setattr__(self, "Hbar", _readonly(Hbar))
+        object.__setattr__(self, "sigma", _readonly(check_noise(self.sigma, K)))
 
     @property
     def L(self) -> int:

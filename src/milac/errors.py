@@ -71,3 +71,36 @@ def check_type(name: str, value, cls):
     if not isinstance(value, cls):
         raise DimensionError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_array(name: str, value, ndim=None, *, real=False, finite=True) -> np.ndarray:
+    """value as a complex128 array (float64 when real), not copied if it
+    is one; DimensionError naming name for a ragged nesting, a bool,
+    string or object dtype, a complex one when real, an ndim other than a
+    given one, and, when finite, a NaN or infinite entry."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy's refusal of a ragged nesting
+        raise DimensionError(f"{name} must be a rectangular array, got a ragged nesting") from None
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        kind = "real numbers" if real else "numbers"
+        raise DimensionError(f"{name} must hold {kind}, got dtype {a.dtype}")
+    if ndim is not None and a.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    a = a.astype(np.float64 if real else np.complex128, copy=False)
+    if finite and not np.isfinite(a).all():
+        raise DimensionError(f"{name} has non-finite entries")
+    return a
+
+
+def check_noise(sigma, K: int) -> np.ndarray:
+    """sigma as K finite positive noise standard deviations (float64);
+    DimensionError otherwise."""
+    sigma = check_array("sigma", sigma, real=True, finite=False)
+    if sigma.shape != (K,):
+        raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
+    # on Python floats: this runs on every rate evaluation, where two numpy
+    # reductions would cost several times more
+    if not all(0.0 < x < math.inf for x in sigma.tolist()):
+        raise DimensionError("sigma entries must be positive and finite")
+    return sigma

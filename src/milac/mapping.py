@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, InconsistentSolutionError, check_positive
-from .network import FactoredScattering, ScatteringMatrix, check_lossless_reciprocal
+from .errors import DimensionError, InconsistentSolutionError, check_array, check_positive
+from .network import FactoredScattering, ScatteringMatrix, _square, check_lossless_reciprocal
 
 SCATTER_TOL = 1e-10
 _ZERO = np.zeros(1, dtype=np.complex128)
@@ -47,14 +47,10 @@ class DigitalBeamformer:
     Pt: float
 
     def __post_init__(self):
-        Pd = np.asarray(self.Pd, dtype=np.complex128)
-        if Pd.ndim != 2:
-            raise DimensionError(f"Pd must be 2-D, got ndim={Pd.ndim}")
+        Pd = check_array("Pd", self.Pd, 2)
         L, K = Pd.shape
         if not (L >= K >= 1):
             raise DimensionError(f"need L >= K >= 1, got L={L}, K={K}")
-        if not np.all(np.isfinite(Pd)):
-            raise DimensionError("Pd has non-finite entries")
         object.__setattr__(self, "Pt", check_positive("Pt", self.Pt))
         radiated = float(np.sum(np.abs(Pd) ** 2))
         if radiated > self.Pt * (1 + 1e-9):
@@ -96,8 +92,11 @@ class TwoLayerSolution:
     Psqrt: np.ndarray
 
     def __post_init__(self):
-        theta = self.Theta if isinstance(self.Theta, ScatteringMatrix) else ScatteringMatrix(S=self.Theta)
-        phi = self.Phi if isinstance(self.Phi, (ScatteringMatrix, FactoredScattering)) else ScatteringMatrix(S=self.Phi)
+        theta, phi = self.Theta, self.Phi
+        if not isinstance(theta, ScatteringMatrix):
+            theta = ScatteringMatrix(S=_square(theta, "Theta"))
+        if not isinstance(phi, (ScatteringMatrix, FactoredScattering)):
+            phi = ScatteringMatrix(S=_square(phi, "Phi"))
         if theta.n % 2 != 0:
             raise DimensionError(f"Theta must be 2K x 2K, got n={theta.n}")
         K = theta.n // 2
@@ -146,20 +145,15 @@ class TwoLayerSolution:
 
 
 def _check_diag_nonneg(S, K: int) -> np.ndarray:
-    S = np.asarray(S)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"gain matrix must be square, got shape {S.shape}")
-    if S.shape[0] != K:
-        raise DimensionError(f"gain matrix must be {K} x {K}, got {S.shape}")
-    if not np.isfinite(S).all():
-        raise DimensionError("gain matrix has non-finite entries")
-    if np.iscomplexobj(S):
-        if np.max(np.abs(S.imag)) > 1e-12:
-            raise DimensionError("gain matrix must be real")
-        S = S.real
-    d = S.diagonal().astype(float)
+    S = check_array("Psqrt", S, 2)
+    if S.shape != (K, K):
+        raise DimensionError(f"Psqrt must be {K} x {K}, got shape {S.shape}")
+    if np.max(np.abs(S.imag)) > 1e-12:
+        raise DimensionError("Psqrt must be real")
+    S = S.real
+    d = S.diagonal()
     if np.count_nonzero(S) != np.count_nonzero(d):
-        raise DimensionError("gain matrix must be diagonal")
+        raise DimensionError("Psqrt must be diagonal")
     if (d < 0).any():
         raise DimensionError(f"negative amplifier gain: min {d.min():.6g}")
     return np.diag(d)

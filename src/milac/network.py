@@ -14,7 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BOOLS, DimensionError, NotRealizableError, check_count, check_positive
+from .errors import (BOOLS, DimensionError, NotRealizableError, check_array, check_count,
+                     check_positive)
 
 COND_LIMIT = 1e12
 RESIDUE_TOL = 1e-8
@@ -22,12 +23,12 @@ Z0 = 50.0  # reference impedance in ohms, real and the same at every port
 
 
 def _square(M, name: str) -> np.ndarray:
-    M = np.asarray(M)
+    """M as a finite complex128 n x n array, n >= 1; DimensionError
+    naming name otherwise."""
+    M = check_array(name, M)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise DimensionError(
             f"{name} must be square with at least one port, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise DimensionError(f"{name} has non-finite entries")
     return M
 
 
@@ -43,11 +44,9 @@ class SusceptanceMatrix:
 
     def __post_init__(self):
         B = _square(self.B, "B")
-        if np.iscomplexobj(B):
-            if np.max(np.abs(B.imag)) > RESIDUE_TOL * max(1.0, np.max(np.abs(B.real))):
-                raise DimensionError("susceptance matrix must be real")
-            B = B.real
-        B = B.astype(float, copy=True)
+        if np.max(np.abs(B.imag)) > RESIDUE_TOL * max(1.0, np.max(np.abs(B.real))):
+            raise DimensionError("susceptance matrix must be real")
+        B = B.real.copy()
         scale = max(1.0, np.max(np.abs(B)))
         if np.max(np.abs(B - B.T)) > RESIDUE_TOL * scale:
             raise DimensionError("susceptance matrix must be symmetric")
@@ -69,7 +68,7 @@ class ScatteringMatrix:
     S: np.ndarray
 
     def __post_init__(self):
-        S = _square(self.S, "S").astype(np.complex128, copy=True)
+        S = _square(self.S, "S").copy()
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
 
@@ -103,9 +102,7 @@ class FactoredScattering:
     def __post_init__(self):
         for name in ("V", "T", "Ur"):
             # a read-only view: the caller's array stays writable
-            M = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).view()
-            if not np.isfinite(M).all():
-                raise DimensionError(f"{name} has non-finite entries")
+            M = np.ascontiguousarray(check_array(name, getattr(self, name))).view()
             M.setflags(write=False)
             object.__setattr__(self, name, M)
         L, K = self.V.shape if self.V.ndim == 2 else (0, 0)
@@ -232,7 +229,7 @@ def scattering_from_susceptance(B) -> ScatteringMatrix:
     COND_LIMIT).
     """
     if not isinstance(B, SusceptanceMatrix):
-        B = SusceptanceMatrix(B=np.asarray(B))
+        B = SusceptanceMatrix(B=B)
     M = 1j * Z0 * B.B
     A = np.eye(B.n) + M
     if np.linalg.cond(A) >= COND_LIMIT:
@@ -252,7 +249,7 @@ def susceptance_from_scattering(S: ScatteringMatrix) -> SusceptanceMatrix:
     below RESIDUE_TOL. Each of these failures raises NotRealizableError.
     """
     if not isinstance(S, (ScatteringMatrix, FactoredScattering)):
-        S = ScatteringMatrix(S=np.asarray(S))
+        S = ScatteringMatrix(S=S)
     rep = check_lossless_reciprocal(S, tol=RESIDUE_TOL)
     if not rep.passed:
         raise NotRealizableError(
@@ -320,7 +317,6 @@ def check_lossless_reciprocal(S: ScatteringMatrix | FactoredScattering | np.ndar
             passed=bool(uni <= tol),
         )
     M = S.S if isinstance(S, ScatteringMatrix) else _square(S, "S")
-    M = M.astype(np.complex128, copy=False)
     sym = float(np.linalg.norm(M - M.T))
     G = M.conj().T @ M
     G.flat[::M.shape[0] + 1] -= 1.0

@@ -25,7 +25,9 @@ from .errors import (
     DimensionError,
     InconsistentSolutionError,
     NumericalError,
+    check_array,
     check_count,
+    check_noise,
     check_positive,
     check_type,
 )
@@ -86,31 +88,33 @@ class SolveReport:
         object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
 
 
-def _validate_channel(H, sigma):
-    """H as a 2-D complex array and sigma as its K finite positive noise
-    standard deviations."""
-    H = np.asarray(H, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=float)
-    if H.ndim != 2:
-        raise DimensionError(f"H must be 2-D, got shape {H.shape}")
-    K = H.shape[1]
-    if sigma.shape != (K,):
-        raise DimensionError(f"sigma must have shape ({K},), got {sigma.shape}")
-    # on Python floats: this runs on every rate evaluation, where two numpy
-    # reductions would cost several times more
-    if not all(0.0 < x < math.inf for x in sigma.tolist()):
-        raise DimensionError("sigma entries must be positive and finite")
-    return H, sigma
+def _validate_link(H, Pmat, sigma, names=("H", "Pmat")):
+    """H and Pmat as complex arrays of one 2-D shape and sigma as H's K
+    noise levels. H and Pmat may hold NaN, which the rate then carries: an
+    isfinite pass would cost more than a small rate evaluation."""
+    H = check_array(names[0], H, 2, finite=False)
+    sigma = check_noise(sigma, H.shape[1])
+    return H, _same_shape(names[1], Pmat, H, names[0]), sigma
 
 
-def _validate_link(H, Pmat, sigma):
-    H, sigma = _validate_channel(H, sigma)
-    Pmat = np.asarray(Pmat, dtype=np.complex128)
-    if Pmat.shape != H.shape:
+def _same_shape(name, value, H, hname, finite=False):
+    """value as a complex array of H's shape."""
+    value = check_array(name, value, finite=finite)
+    if value.shape != H.shape:
         raise DimensionError(
-            f"Pmat shape {Pmat.shape} does not match channel shape {H.shape}"
+            f"{name} shape {value.shape} does not match {hname} shape {H.shape}"
         )
-    return H, Pmat, sigma
+    return value
+
+
+def _user_vectors(alpha, beta, K):
+    """alpha as K real and beta as K complex auxiliaries."""
+    alpha = check_array("alpha", alpha, real=True, finite=False)
+    beta = check_array("beta", beta, finite=False)
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if v.shape != (K,):
+            raise DimensionError(f"{name} must have shape ({K},), got {v.shape}")
+    return alpha, beta
 
 
 def _sinr(C, noise):
@@ -151,7 +155,7 @@ def update_alpha_beta(Hbar, T, sigma):
     alpha_k is the SINR of user k; beta_k = sqrt(1+alpha_k) h_k^H t_k over
     the total received power plus noise.
     """
-    Hbar, T, sigma = _validate_link(Hbar, T, sigma)
+    Hbar, T, sigma = _validate_link(Hbar, T, sigma, ("Hbar", "T"))
     alpha, _, beta = _auxiliaries(Hbar.conj().T @ T, sigma**2)
     return alpha, beta
 
@@ -163,9 +167,8 @@ def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
     form plus the T-independent terms; the two must agree, which pins down
     the conjugation convention of the linear term.
     """
-    Hbar, T, sigma = _validate_link(Hbar, T, sigma)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=np.complex128)
+    Hbar, T, sigma = _validate_link(Hbar, T, sigma, ("Hbar", "T"))
+    alpha, beta = _user_vectors(alpha, beta, Hbar.shape[1])
     C = Hbar.conj().T @ T
     total = (np.abs(C) ** 2).sum(axis=1)
     noise = sigma**2
@@ -187,7 +190,7 @@ def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
 
 def project_power(X, Pt: float) -> np.ndarray:
     """Scale X onto the sphere trace(X X^H) = Pt."""
-    X = np.asarray(X, dtype=np.complex128)
+    X = check_array("X", X, finite=False)
     nrm2 = float((np.abs(X) ** 2).sum())
     if nrm2 == 0.0:
         raise NumericalError("cannot project the zero matrix onto the power sphere")
@@ -264,20 +267,16 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
     is zero the surrogate has no linear term and T is returned unchanged.
     """
     Pt = check_positive("Pt", Pt)
-    Hbar = np.asarray(Hbar, dtype=np.complex128)
-    T = np.asarray(T, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    root = np.sqrt(1.0 + np.asarray(alpha, dtype=float))
-    return _exact_step(Hbar, T, root, beta, Pt)
+    Hbar = check_array("Hbar", Hbar, 2, finite=False)
+    T = _same_shape("T", T, Hbar, "Hbar")
+    alpha, beta = _user_vectors(alpha, beta, Hbar.shape[1])
+    return _exact_step(Hbar, T, np.sqrt(1.0 + alpha), beta, Pt)
 
 
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     """Columns proportional to the per-user channels, equal power split."""
     Pt = check_positive("Pt", Pt)
-    Heff = np.asarray(Heff, dtype=np.complex128)
-    if Heff.ndim != 2:
-        raise DimensionError(f"Heff must be 2-D, got shape {Heff.shape}")
-    return _matched_filter(Heff, Pt)
+    return _matched_filter(check_array("Heff", Heff, 2, finite=False), Pt)
 
 
 def _matched_filter(Heff, Pt: float) -> np.ndarray:
@@ -316,19 +315,13 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """
     t0 = time.perf_counter()
     check_type("cfg", cfg, SolverConfig)
-    Heff, sigma = _validate_channel(Heff, sigma)
+    Heff = check_array("Heff", Heff, 2, finite=False)
+    sigma = check_noise(sigma, Heff.shape[1])
     Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
     if init is None:
         T = _matched_filter(Heff, Pt)
     else:
-        init = np.asarray(init, dtype=np.complex128)
-        if init.shape != Heff.shape:
-            raise DimensionError(
-                f"init shape {init.shape} does not match precoder shape {Heff.shape}"
-            )
-        if not np.isfinite(init).all():
-            raise DimensionError("init has non-finite entries")
-        T = project_power(init, Pt)
+        T = project_power(_same_shape("init", init, Heff, "precoder", finite=True), Pt)
     alpha, root, beta = _auxiliaries(Hh @ T, noise)
     history = [_rate(alpha)]
     iterations = 0

@@ -13,8 +13,11 @@ from milac import (
     ChannelSet,
     DimensionError,
     RankDeficientError,
+    ReducedChannel,
+    SolverConfig,
     generate_rayleigh,
     reduce_channel,
+    solve_psla,
 )
 
 
@@ -258,3 +261,25 @@ def test_reduction_invariants_property(L, K, seed):
     assert np.linalg.norm(rebuilt - ch.H) <= 1e-10 * np.linalg.norm(ch.H)
     g_err = np.linalg.norm(red.Hbar.conj().T @ red.Hbar - ch.H.conj().T @ ch.H)
     assert g_err <= 1e-9 * max(1.0, np.linalg.norm(ch.H) ** 2)
+
+
+def test_reduced_channel_validates_itself():
+    red = reduce_channel(generate_rayleigh(4, 2, seed=2))
+    again = ReducedChannel(Q=red.Q, Hbar=red.Hbar, sigma=[1, 1])
+    assert again.sigma.dtype == np.float64 and not again.Q.flags.writeable
+    cases = [
+        # the mismatch used to surface as a misleading complaint about sigma
+        (dict(Q=np.ones((4, 2)), Hbar=np.ones((3, 3)), sigma=np.ones(3)),
+         r"^Hbar must be 2 x 2, got shape \(3, 3\)$"),
+        (dict(Q=np.ones((2, 3)), Hbar=np.ones((3, 3)), sigma=np.ones(3)),
+         r"^Q must be L x K with L >= K >= 1, got shape \(2, 3\)$"),
+        # these ran a full solve before numpy's own error, one round before a
+        # NumericalError, and as unit noise
+        (dict(Q="ab", Hbar=red.Hbar, sigma=red.sigma), "^Q must hold numbers"),
+        (dict(Q=red.Q, Hbar=red.Hbar * np.nan, sigma=red.sigma), "^Hbar has non-finite"),
+        (dict(Q=red.Q, Hbar=red.Hbar, sigma=[True, True]), "^sigma must hold real numbers"),
+        (dict(Q=red.Q, Hbar=red.Hbar, sigma=[1.0, -1.0]), "^sigma entries must be positive"),
+    ]
+    for args, match in cases:
+        with pytest.raises(DimensionError, match=match):
+            solve_psla(ReducedChannel(**args), SolverConfig())

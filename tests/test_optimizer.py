@@ -190,6 +190,21 @@ def test_update_T_zero_beta_keeps_T():
     assert np.array_equal(out, T)
 
 
+def test_round_functions_check_shapes():
+    # T must have Hbar's shape and alpha, beta one entry per user
+    Hbar, T, a, b = np.eye(2), np.eye(2), np.ones(2), np.ones(2)
+    sigma = np.ones(2)
+    for call, match in (
+            (lambda: update_T(Hbar, np.eye(3), a, b, 1.0), r"^T shape \(3, 3\) does not match"),
+            (lambda: update_T(Hbar, T, np.ones(3), b, 1.0), r"^alpha must have shape \(2,\)"),
+            (lambda: update_T(Hbar, T, a, np.ones((2, 1)), 1.0), r"^beta must have shape"),
+            (lambda: surrogate_value(Hbar, T, sigma, np.ones(3), b), r"^alpha must have shape"),
+            (lambda: surrogate_value(Hbar, T, sigma, a, np.ones(1)), r"^beta must have shape"),
+            (lambda: update_alpha_beta(Hbar, np.eye(3), sigma), r"^T shape \(3, 3\)")):
+        with pytest.raises(DimensionError, match=match):
+            call()
+
+
 def test_update_T_on_sphere():
     ch = generate_rayleigh(4, 2, seed=31)
     red = reduce_channel(ch)
