@@ -44,13 +44,11 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     L x K iterate is reported in the Pd field and T_final is None.
     """
     check_type("channel", ch, ChannelSet)
-    T, history, iterations, wall, stop_reason, rates = run_fp(ch.H, ch.sigma, cfg, init=init)
+    T, history, _, wall, stop_reason, rates = run_fp(ch.H, ch.sigma, cfg, init=init)
     return SolveReport(
         T_final=None,
         Pd=T,
         rates=rates,
-        sum_rate=float(history[-1]),
-        iterations=iterations,
         objective_history=history,
         wall_time=wall,
         stop_reason=stop_reason,

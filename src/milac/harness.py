@@ -36,7 +36,7 @@ from .channel import generate_rayleigh, reduce_channel
 from .errors import (BOOLS, DimensionError, MilacError, check_count, check_positive,
                      check_type)
 from .mapping import DigitalBeamformer, map_digital_to_milac
-from .optimizer import SolverConfig, report_record, solve_psla, sum_rate
+from .optimizer import SolverConfig, solve_psla, sum_rate
 
 log = logging.getLogger(__name__)
 
@@ -254,9 +254,12 @@ MODES = {
 def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
     """Run every architecture of the mode on one (L, snr, trial) cell.
 
-    Returns (rows, solver_records, iteration_rows). Failures are recorded
-    instead of aborting: as rows with sum_rate=nan and iterations=-1, and
-    as solver records with the cell, label, seed, wall_time and error.
+    Returns (rows, solver_records, iteration_rows). A solver record, one
+    line of solves.jsonl, holds the cell, label, seed, config echo,
+    iterations, stop_reason, sum_rate, per-user rates, objective_history
+    and the solve's own wall_time. Failures are recorded instead of
+    aborting: as rows with sum_rate=nan and iterations=-1, and as solver
+    records with the cell, label, seed, wall_time and error.
     two_layer maps the digital_reduced solution of the same cell: its row
     repeats that solve's iteration count, its wall time covers the mapping
     alone, and it fails with digital_reduced's error if that solve failed.
@@ -295,7 +298,11 @@ def run_point(spec: ExperimentSpec, L: int, snr_db: float, trial: int):
                                  iterations=iterations, wall_time=wall))
             if rep is None:
                 continue
-            rec = report_record(rep, cfg, seed=seed, label=arch)
+            rec = {"label": arch, "seed": seed, "config": dict(vars(cfg)),
+                   "iterations": rep.iterations, "stop_reason": rep.stop_reason,
+                   "sum_rate": rep.sum_rate, "rates": rep.rates.tolist(),
+                   "objective_history": rep.objective_history.tolist(),
+                   "wall_time": rep.wall_time}
             if spec.mode == "convergence":
                 iter_rows += [IterationRow(**cell, architecture=arch, iteration=i,
                                            objective=float(obj))

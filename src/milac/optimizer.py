@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,34 +67,52 @@ class SolveReport:
     T_final is the reduced K x K precoder (None for the full-dimension
     solver, whose iterate is the L x K matrix reported in Pd). The
     objective history includes the initial point and is non-decreasing up
-    to rounding. stop_reason is "tol" when the relative sum-rate change
-    fell below eps and "cap" when max_outer rounds ran out first.
+    to rounding; it is the only stored copy of the final sum-rate and the
+    round count, which sum_rate (its last entry) and iterations (its
+    length less one) read off it. stop_reason is "tol" when the relative
+    sum-rate change fell below eps and "cap" when max_outer rounds ran out
+    first.
     """
 
     T_final: np.ndarray
     Pd: np.ndarray
     rates: np.ndarray
-    sum_rate: float
-    iterations: int
     objective_history: np.ndarray
     wall_time: float
     stop_reason: str
+    sum_rate: float = field(init=False)
+    iterations: int = field(init=False)
 
     def __post_init__(self):
-        hist = np.asarray(self.objective_history, dtype=float)
-        if hist.size and np.any(np.diff(hist) < -1e-8):
+        hist = check_array("objective history", self.objective_history, 1, real=True,
+                           finite=False)
+        if hist.size == 0:
+            raise DimensionError("objective history must hold at least the initial rate")
+        if np.any(np.diff(hist) < -1e-8):
             raise InconsistentSolutionError("objective history is not non-decreasing")
         object.__setattr__(self, "objective_history", hist)
         object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
+        object.__setattr__(self, "sum_rate", float(hist[-1]))
+        object.__setattr__(self, "iterations", hist.size - 1)
 
 
 def _validate_link(H, Pmat, sigma, names=("H", "Pmat")):
     """H and Pmat as complex arrays of one 2-D shape and sigma as H's K
     noise levels. H and Pmat may hold NaN, which the rate then carries: an
     isfinite pass would cost more than a small rate evaluation."""
-    H = check_array(names[0], H, 2, finite=False)
+    H = _channel(names[0], H)
     sigma = check_noise(sigma, H.shape[1])
     return H, _same_shape(names[1], Pmat, H, names[0]), sigma
+
+
+def _channel(name, H):
+    """H as a 2-D complex array with at least one row and one column, so
+    at least one antenna and one user; it may hold NaN (see _validate_link)."""
+    H = check_array(name, H, 2, finite=False)
+    if 0 in H.shape:
+        raise DimensionError(
+            f"{name} must have at least one row and one column, got shape {H.shape}")
+    return H
 
 
 def _same_shape(name, value, H, hname, finite=False):
@@ -163,29 +181,18 @@ def update_alpha_beta(Hbar, T, sigma):
 def surrogate_value(Hbar, T, sigma, alpha, beta) -> float:
     """Value of the decoupled objective at (alpha, beta, T), in bits.
 
-    Evaluated two ways, as the per-user sum and as the compact quadratic
-    form plus the T-independent terms; the two must agree, which pins down
-    the conjugation convention of the linear term.
+    The sum over users of
+    2 sqrt(1 + alpha_k) Re(conj(beta_k) h_k^H t_k) + log(1 + alpha_k)
+    - alpha_k - |beta_k|^2 (sum_i |h_k^H t_i|^2 + sigma_k^2), divided by
+    ln 2. After update_alpha_beta at T it equals sum_rate at T.
     """
     Hbar, T, sigma = _validate_link(Hbar, T, sigma, ("Hbar", "T"))
     alpha, beta = _user_vectors(alpha, beta, Hbar.shape[1])
     C = Hbar.conj().T @ T
     total = (np.abs(C) ** 2).sum(axis=1)
-    noise = sigma**2
-    dk = np.diagonal(C)
-    root = np.sqrt(1.0 + alpha)
-    lin = 2.0 * root * np.real(np.conj(beta) * dk)
-    b2 = np.abs(beta) ** 2
-    per_user = lin + np.log1p(alpha) - b2 * (total + noise) - alpha
-    value = float(np.sum(per_user))
-    # same quantity via the compact quadratic form
-    quad = float(np.sum(lin) - np.sum(b2 * total))
-    compact = quad + float(np.sum(np.log1p(alpha) - alpha - b2 * noise))
-    if abs(value - compact) > 1e-9 * max(1.0, abs(value)):
-        raise InconsistentSolutionError(
-            f"surrogate forms disagree: {value!r} vs {compact!r}"
-        )
-    return value / LN2
+    lin = 2.0 * np.sqrt(1.0 + alpha) * np.real(np.conj(beta) * np.diagonal(C))
+    per_user = lin + np.log1p(alpha) - np.abs(beta) ** 2 * (total + sigma**2) - alpha
+    return float(np.sum(per_user)) / LN2
 
 
 def project_power(X, Pt: float) -> np.ndarray:
@@ -267,7 +274,7 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
     is zero the surrogate has no linear term and T is returned unchanged.
     """
     Pt = check_positive("Pt", Pt)
-    Hbar = check_array("Hbar", Hbar, 2, finite=False)
+    Hbar = _channel("Hbar", Hbar)
     T = _same_shape("T", T, Hbar, "Hbar")
     alpha, beta = _user_vectors(alpha, beta, Hbar.shape[1])
     return _exact_step(Hbar, T, np.sqrt(1.0 + alpha), beta, Pt)
@@ -276,7 +283,7 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     """Columns proportional to the per-user channels, equal power split."""
     Pt = check_positive("Pt", Pt)
-    return _matched_filter(check_array("Heff", Heff, 2, finite=False), Pt)
+    return _matched_filter(_channel("Heff", Heff), Pt)
 
 
 def _matched_filter(Heff, Pt: float) -> np.ndarray:
@@ -290,10 +297,14 @@ def _matched_filter(Heff, Pt: float) -> np.ndarray:
 
 def random_init(shape, Pt: float, seed) -> np.ndarray:
     """Seeded complex Gaussian point on the power sphere (for multi-start);
-    shape is a count or a tuple or list of counts >= 1, seed any numpy seed."""
+    shape is a count or a tuple or list of counts >= 1, seed None, an
+    integer >= 0 or a tuple or list of them."""
     Pt = check_positive("Pt", Pt)
     dims = shape if isinstance(shape, (tuple, list)) else (shape,)
     shape = tuple(check_count("random_init dimension", n, 1) for n in dims)
+    seeds = seed if isinstance(seed, (tuple, list)) else () if seed is None else (seed,)
+    for n in seeds:
+        check_count("seed", n, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return project_power(X, Pt)
@@ -315,7 +326,7 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """
     t0 = time.perf_counter()
     check_type("cfg", cfg, SolverConfig)
-    Heff = check_array("Heff", Heff, 2, finite=False)
+    Heff = _channel("Heff", Heff)
     sigma = check_noise(sigma, Heff.shape[1])
     Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
     if init is None:
@@ -352,14 +363,11 @@ def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport
     back to the antenna domain.
     """
     check_type("reduced channel", red, ReducedChannel)
-    T, history, iterations, wall, stop_reason, rates = run_fp(red.Hbar, red.sigma, cfg,
-                                                              init=init)
+    T, history, _, wall, stop_reason, rates = run_fp(red.Hbar, red.sigma, cfg, init=init)
     return SolveReport(
         T_final=T,
         Pd=red.Q @ T,
         rates=rates,
-        sum_rate=float(history[-1]),
-        iterations=iterations,
         objective_history=history,
         wall_time=wall,
         stop_reason=stop_reason,
@@ -384,22 +392,3 @@ def solve_two_layer(ch: ChannelSet, cfg: SolverConfig):
         )
     return report, sol
 
-
-def report_record(report: SolveReport, cfg: SolverConfig, seed=None, label=None) -> dict:
-    """JSON-ready record of one solve: config echo, outcome, and timings."""
-    rec = {
-        "label": label,
-        "seed": seed,
-        "config": {
-            "Pt": cfg.Pt,
-            "eps": cfg.eps,
-            "max_outer": cfg.max_outer,
-        },
-        "iterations": report.iterations,
-        "stop_reason": report.stop_reason,
-        "sum_rate": report.sum_rate,
-        "rates": report.rates.tolist(),
-        "objective_history": report.objective_history.tolist(),
-        "wall_time": report.wall_time,
-    }
-    return rec

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,10 @@ from milac import (
     SolverConfig,
     SweepRow,
     generate_rayleigh,
+    reduce_channel,
     run_experiment,
     snr_to_power,
+    solve_psla,
     summarize,
 )
 from milac.cli import main
@@ -29,6 +31,7 @@ from milac.harness import (
     ITER_SCHEMA,
     MODES,
     RESULT_SCHEMA,
+    RUNNERS,
     SUMMARY_SCHEMA,
     IterationRow,
     SummaryRow,
@@ -206,6 +209,66 @@ def test_files_round_trip(tmp_path, mode):
                              iteration=i, objective=obj)
                 for rec in records for i, obj in enumerate(rec["objective_history"])]
     assert iters == expected
+
+
+def test_solve_record_serializable(tmp_path, monkeypatch):
+    # a solves.jsonl record echoes the config and the report of its solve
+    spec = small_spec(tmp_path, mode="convergence", L_values=(4,), trials=1, base_seed=1)
+    run_experiment(spec)
+    rec, = [json.loads(line) for line in (tmp_path / "out" / "solves.jsonl").read_text()
+            .splitlines()]
+    rep = solve_psla(reduce_channel(generate_rayleigh(4, 2, seed=1)), SolverConfig(Pt=10.0))
+    assert rec["label"] == "digital_reduced"
+    assert rec["seed"] == 1
+    assert rec["config"] == {"Pt": 10.0, "eps": 1e-4, "max_outer": 500}
+    assert rec["iterations"] == rep.iterations
+    assert rec["stop_reason"] == rep.stop_reason == "tol"
+    assert rec["sum_rate"] == pytest.approx(rep.sum_rate)
+    # a report built by hand with list rates is recorded alike
+    solve = RUNNERS["digital_reduced"]
+
+    def by_hand(ch, cfg, done):
+        P, iterations, rep = solve(ch, cfg, done)
+        return P, iterations, replace(rep, rates=list(rep.rates))
+
+    monkeypatch.setitem(RUNNERS, "digital_reduced", by_hand)
+    assert json.loads(json.dumps(run_point(spec, 4, 10.0, 0)[1][0])) == rec
+
+
+# (architecture, snr_db, trial) -> (sum_rate, iterations) on the grid of
+# test_pinned_rates, as computed when the test was written; a change to the
+# solver that moves a rate must update these values and say why
+PINNED = {
+    ("digital_full", 0.0, 0): (3.3489775393943404, 5),
+    ("digital_reduced", 0.0, 0): (3.3489775393943417, 5),
+    ("two_layer", 0.0, 0): (3.3489775393943395, 5),
+    ("zero_forcing", 0.0, 0): (3.174124241887384, 0),
+    ("digital_full", 0.0, 1): (3.842942378240666, 4),
+    ("digital_reduced", 0.0, 1): (3.8429423782406658, 4),
+    ("two_layer", 0.0, 1): (3.842942378240667, 4),
+    ("zero_forcing", 0.0, 1): (3.721056735788955, 0),
+    ("digital_full", 20.0, 0): (15.265203593621358, 5),
+    ("digital_reduced", 20.0, 0): (15.265203593621358, 5),
+    ("two_layer", 20.0, 0): (15.265203593621358, 5),
+    ("zero_forcing", 20.0, 0): (15.262108717319297, 0),
+    ("digital_full", 20.0, 1): (16.06762760791519, 5),
+    ("digital_reduced", 20.0, 1): (16.06762760791519, 5),
+    ("two_layer", 20.0, 1): (16.067627607915185, 5),
+    ("zero_forcing", 20.0, 1): (16.06561905067184, 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["snr_sweep", "theorem_check"])
+def test_pinned_rates(tmp_path, mode):
+    # every row's rate and round count on a small fixed grid, so that a
+    # change in what the solver returns cannot pass unseen
+    rows = run_experiment(small_spec(tmp_path, mode=mode, snr_db_values=(0.0, 20.0),
+                                     trials=2))
+    assert len(rows) == 2 * 2 * len(MODES[mode])
+    for r in rows:
+        rate, iterations = PINNED[(r.architecture, r.snr_db, r.trial)]
+        assert r.sum_rate == pytest.approx(rate, rel=1e-9, abs=0), r
+        assert r.iterations == iterations, r
 
 
 def test_row_count_and_schema(tmp_path):

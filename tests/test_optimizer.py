@@ -1,7 +1,6 @@
 """Fractional-programming solver: closed forms, ascent, convergence."""
 
 import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -31,7 +30,7 @@ from milac import (
 )
 import milac.optimizer
 from milac.baselines import brute_force_oracle, solve_full_dim, zero_forcing
-from milac.optimizer import _power_multiplier, project_power, report_record, run_fp
+from milac.optimizer import _power_multiplier, project_power, run_fp
 
 
 def random_point(Hbar, sigma, Pt, seed):
@@ -110,6 +109,25 @@ def test_rates_reject_bad_noise(sigma):
     for call in calls:
         with pytest.raises(DimensionError, match="sigma"):
             call()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+def test_round_functions_refuse_an_empty_channel(shape):
+    # no antenna or no user: a 0.0 rate, zero rates or a ZeroDivisionError
+    # or IndexError from inside the round would mean nothing
+    H = np.zeros(shape, dtype=complex)
+    a, sigma = np.ones(shape[1]), np.ones(shape[1])
+    calls = {"H": (lambda: sum_rate(H, H, sigma), lambda: user_rates(H, H, sigma)),
+             "Hbar": (lambda: update_alpha_beta(H, H, sigma),
+                      lambda: surrogate_value(H, H, sigma, a, a),
+                      lambda: update_T(H, H, a, a, 1.0)),
+             "Heff": (lambda: matched_filter_init(H, 1.0),
+                      lambda: run_fp(H, sigma, SolverConfig()))}
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(DimensionError,
+                               match=rf"^{name} must have at least one row and one column"):
+                call()
 
 
 # ------------------------------------------------------- auxiliaries
@@ -320,6 +338,16 @@ def test_random_init_takes_any_numpy_seed():
     assert random_init((np.int64(2), 2), 1.0, None).shape == (2, 2)
 
 
+@pytest.mark.parametrize("seed, match", [
+    (-1, "^seed must be >= 0, got -1$"), (1.5, "^seed must be an integer"),
+    ("ab", "^seed must be an integer"), (True, "^seed must be an integer, got True$"),
+    ([4, -5], "^seed must be >= 0, got -5$"), ((4, 2.5), "^seed must be an integer")],
+    ids=["negative", "fraction", "string", "bool", "negative-entry", "fraction-entry"])
+def test_random_init_refuses_bad_seed(seed, match):
+    with pytest.raises(DimensionError, match=match):
+        random_init((2, 2), 1.0, seed)
+
+
 # ------------------------------------------------------------ solver
 
 def test_solver_config_validation():
@@ -344,9 +372,31 @@ def test_solver_config_validation():
 def test_report_rejects_decreasing_history():
     with pytest.raises(InconsistentSolutionError):
         SolveReport(T_final=None, Pd=np.eye(2, dtype=complex),
-                    rates=np.ones(2), sum_rate=2.0, iterations=1,
+                    rates=np.ones(2),
                     objective_history=np.array([2.0, 1.0]), wall_time=0.0,
                     stop_reason="tol")
+
+
+def test_report_reads_rate_and_rounds_off_history():
+    def report(history):
+        return SolveReport(T_final=None, Pd=np.eye(2, dtype=complex), rates=np.ones(2),
+                           objective_history=history, wall_time=0.0, stop_reason="tol")
+
+    rep = report([1.0, 1.5, 2.0])
+    assert rep.sum_rate == 2.0 and type(rep.sum_rate) is float
+    assert rep.iterations == 2 and type(rep.iterations) is int
+    assert report([0.5]).iterations == 0
+    with pytest.raises(TypeError):  # neither is an argument any more
+        SolveReport(T_final=None, Pd=np.eye(2), rates=np.ones(2), sum_rate=2.0,
+                    iterations=1, objective_history=[2.0], wall_time=0.0, stop_reason="tol")
+    for bad, match in (([], "^objective history must hold at least the initial rate$"),
+                       ([[1.0, 2.0]], "^objective history must be 1-D")):
+        with pytest.raises(DimensionError, match=match):
+            report(bad)
+    # a solve's history is the one it reports its rate and rounds from
+    rep = solve_psla(reduce_channel(generate_rayleigh(4, 2, seed=1)), SolverConfig(Pt=10.0))
+    assert rep.sum_rate == rep.objective_history[-1]
+    assert rep.iterations == len(rep.objective_history) - 1 >= 1
 
 
 def test_single_user_matched_filter_optimal():
@@ -497,24 +547,6 @@ def test_solve_two_layer_rank_one_structure():
     assert theta[0, 0] == 0 and theta[1, 1] == 0
     assert abs(theta[0, 1]) == pytest.approx(1.0, abs=1e-10)
     assert theta[0, 1] == pytest.approx(theta[1, 0])
-
-
-def test_report_record_serializable():
-    ch = generate_rayleigh(4, 2, seed=1)
-    red = reduce_channel(ch)
-    cfg = SolverConfig(Pt=10.0)
-    rep = solve_psla(red, cfg)
-    rec = report_record(rep, cfg, seed=1, label="reduced")
-    text = json.dumps(rec)
-    back = json.loads(text)
-    assert back["label"] == "reduced"
-    assert back["config"]["Pt"] == 10.0
-    assert back["iterations"] == rep.iterations
-    assert back["stop_reason"] == rep.stop_reason == "tol"
-    assert back["sum_rate"] == pytest.approx(rep.sum_rate)
-    # a report built by hand with list rates is recorded alike
-    by_hand = dataclasses.replace(rep, rates=list(rep.rates))
-    assert report_record(by_hand, cfg, seed=1, label="reduced") == rec
 
 
 @settings(max_examples=25, deadline=None)
