@@ -40,8 +40,10 @@ def solve_full_dim(ch: ChannelSet, cfg: SolverConfig, init=None) -> SolveReport:
     """Run the fractional-programming loop directly on the L x K precoder.
 
     Identical updates to the reduced solver, just without the range-space
-    reduction; used to validate that the reduction loses nothing. The
-    L x K iterate is reported in the Pd field and T_final is None.
+    reduction; used to validate that the reduction loses nothing. Without
+    init it starts where solve_psla does, lifted by Q: regularized zero
+    forcing. The L x K iterate is reported in the Pd field and T_final is
+    None.
     """
     check_type("channel", ch, ChannelSet)
     T, history, _, wall, stop_reason, rates = run_fp(ch.H, ch.sigma, cfg, init=init)

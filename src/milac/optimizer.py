@@ -38,6 +38,10 @@ LN2 = float(np.log(2.0))
 # from below, so the cap only guards against rounding stalls
 MAX_NEWTON = 60
 EPS = float(np.finfo(float).eps)
+STOP_REASONS = ("tol", "cap")
+# a rate loss, in bits, this small is rounding: SolveReport accepts it in a
+# history, and run_fp discards a round that loses no more than it
+RATE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,11 @@ class SolveReport:
     objective history includes the initial point and is non-decreasing up
     to rounding; it is the only stored copy of the final sum-rate and the
     round count, which sum_rate (its last entry) and iterations (its
-    length less one) read off it. stop_reason is "tol" when the relative
-    sum-rate change fell below eps and "cap" when max_outer rounds ran out
-    first.
+    length less one) read off it, and a round that loses more than
+    RATE_SLACK bits raises InconsistentSolutionError. stop_reason is "tol"
+    when the relative sum-rate change fell below eps or a round would have
+    lowered the rate (see run_fp), and "cap" when max_outer rounds ran out
+    first; any other value raises DimensionError.
     """
 
     T_final: np.ndarray
@@ -88,10 +94,17 @@ class SolveReport:
                            finite=False)
         if hist.size == 0:
             raise DimensionError("objective history must hold at least the initial rate")
-        if np.any(np.diff(hist) < -1e-8):
-            raise InconsistentSolutionError("objective history is not non-decreasing")
+        # on Python floats: numpy's per-call cost exceeds a few subtractions
+        h = hist.tolist()
+        for prev, rate in zip(h, h[1:]):
+            if prev - rate > RATE_SLACK:
+                raise InconsistentSolutionError("objective history is not non-decreasing")
+        if not isinstance(self.stop_reason, str) or self.stop_reason not in STOP_REASONS:
+            raise DimensionError(
+                f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
         object.__setattr__(self, "objective_history", hist)
-        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
+        object.__setattr__(self, "rates", check_array("rates", self.rates, 1, real=True,
+                                                      finite=False))
         object.__setattr__(self, "sum_rate", float(hist[-1]))
         object.__setattr__(self, "iterations", hist.size - 1)
 
@@ -283,11 +296,7 @@ def update_T(Hbar, T, alpha, beta, Pt: float) -> np.ndarray:
 def matched_filter_init(Heff, Pt: float) -> np.ndarray:
     """Columns proportional to the per-user channels, equal power split."""
     Pt = check_positive("Pt", Pt)
-    return _matched_filter(_channel("Heff", Heff), Pt)
-
-
-def _matched_filter(Heff, Pt: float) -> np.ndarray:
-    # matched_filter_init on a validated 2-D complex Heff and power
+    Heff = _channel("Heff", Heff)
     norms = np.linalg.norm(Heff, axis=0)
     if np.any(norms == 0):
         raise NumericalError("matched-filter init undefined for a zero channel column")
@@ -310,19 +319,47 @@ def random_init(shape, Pt: float, seed) -> np.ndarray:
     return project_power(X, Pt)
 
 
+def _start(Heff, Hh, sigma, noise, Pt: float):
+    """Regularized zero forcing (RZF) with equal column powers.
+
+    With the noise-whitened channel G = Heff diag(1/sigma) and its Gram
+    A = G^H G, the start is G (I + (Pt/K) A)^(-1) with each column scaled
+    to power Pt/K: the optimal beamformer's structure with equal dual
+    powers (Bjornson, Bengtsson & Ottersten, IEEE SP Magazine 2014), formed
+    through one eigh of A. Returns (T, alpha, sqrt(1 + alpha), beta, rate)
+    at it. As G maps into Heff's range, a full-dimension start is Q times
+    the reduced one.
+    """
+    G = Heff / sigma
+    A = G.conj().T @ G
+    if np.any(A.diagonal().real == 0.0):
+        raise NumericalError("start undefined for a zero channel column")
+    e, V = np.linalg.eigh(A)
+    c = Pt / len(e)
+    X = G @ ((V / (1.0 + c * e)) @ V.conj().T)
+    T = X * (math.sqrt(c) / np.linalg.norm(X, axis=0))
+    alpha, root, beta = _auxiliaries(Hh @ T, noise)
+    return T, alpha, root, beta, _rate(alpha)
+
+
 def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     """Run the alternating updates on an arbitrary effective channel.
 
     Returns (T, history, iterations, wall_time, stop_reason, rates), T
     being the final precoder, stop_reason "tol" or "cap" (see SolveReport)
     and rates the per-user rates of T in bits, equal to
-    user_rates(Heff, T, sigma). T's shape matches Heff; init is projected
-    onto the power sphere if given, else the start is the matched filter.
-    Inputs are validated once on entry; a start with a NaN or infinite
-    entry raises DimensionError before any round. Each round then forms
-    one product C = Heff^H T and reads off it the rate of T and the
-    auxiliaries of the next exact step, so it matches update_alpha_beta,
-    update_T and sum_rate called in turn. cfg must be a SolverConfig.
+    user_rates(Heff, T, sigma). T's shape matches Heff. init is projected
+    onto the power sphere and run as given; without it the start is
+    regularized zero forcing (see _start). Inputs are validated once on
+    entry; a start with a NaN or infinite entry raises DimensionError
+    before any round. Each round then forms one product C = Heff^H T and
+    reads off it the rate of T and the auxiliaries of the next exact step,
+    so it matches update_alpha_beta, update_T and sum_rate called in turn.
+    An exact step cannot lower the rate, so a round that lowers it by at
+    most RATE_SLACK bits has lost it to rounding: it is discarded, and the
+    solve stops at the point before it with stop_reason "tol". A larger
+    loss is kept in the history and stops the solve, so SolveReport raises
+    InconsistentSolutionError on it. cfg must be a SolverConfig.
     """
     t0 = time.perf_counter()
     check_type("cfg", cfg, SolverConfig)
@@ -330,37 +367,43 @@ def run_fp(Heff, sigma, cfg: SolverConfig, init=None):
     sigma = check_noise(sigma, Heff.shape[1])
     Hh, noise, Pt, eps = Heff.conj().T, sigma**2, cfg.Pt, cfg.eps
     if init is None:
-        T = _matched_filter(Heff, Pt)
+        T, alpha, root, beta, rate = _start(Heff, Hh, sigma, noise, Pt)
     else:
         T = project_power(_same_shape("init", init, Heff, "precoder", finite=True), Pt)
-    alpha, root, beta = _auxiliaries(Hh @ T, noise)
-    history = [_rate(alpha)]
-    iterations = 0
-    stop_reason = "cap"
-    for it in range(1, cfg.max_outer + 1):
-        T = _exact_step(Heff, T, root, beta, Pt)
         alpha, root, beta = _auxiliaries(Hh @ T, noise)
         rate = _rate(alpha)
+    history = [rate]
+    stop_reason = "cap"
+    for it in range(1, cfg.max_outer + 1):
+        T_next = _exact_step(Heff, T, root, beta, Pt)
+        aux = _auxiliaries(Hh @ T_next, noise)
+        rate = _rate(aux[0])
         if not math.isfinite(rate):
             raise NumericalError(f"objective became {rate} at iteration {it}")
         prev = history[-1]
+        if 0.0 < prev - rate <= RATE_SLACK:
+            stop_reason = "tol"
+            break
+        T, (alpha, root, beta) = T_next, aux
         history.append(rate)
-        iterations = it
-        if abs(rate - prev) / max(1.0, prev) < eps:
+        if (rate - prev) / max(1.0, prev) < eps:
             stop_reason = "tol"
             break
     # alpha is T's: the rates user_rates would compute from the same C
     rates = np.log1p(alpha) / LN2
-    return T, np.asarray(history), iterations, time.perf_counter() - t0, stop_reason, rates
+    return (T, np.asarray(history), len(history) - 1, time.perf_counter() - t0, stop_reason,
+            rates)
 
 
 def solve_psla(red: ReducedChannel, cfg: SolverConfig, init=None) -> SolveReport:
     """Maximize the sum-rate over the reduced K x K precoder.
 
-    Alternates the closed-form auxiliary updates with the exact precoder
-    step until the relative sum-rate change drops below cfg.eps or
-    cfg.max_outer rounds elapse. The returned Pd = Q T lifts the solution
-    back to the antenna domain.
+    Starts at init if given, else at regularized zero forcing. Alternates
+    the closed-form auxiliary updates with the exact precoder step until
+    the relative sum-rate change drops below cfg.eps, a round would lower
+    the rate by rounding (it is discarded), or cfg.max_outer rounds elapse
+    (see run_fp). The returned Pd = Q T lifts
+    the solution back to the antenna domain.
     """
     check_type("reduced channel", red, ReducedChannel)
     T, history, _, wall, stop_reason, rates = run_fp(red.Hbar, red.sigma, cfg, init=init)

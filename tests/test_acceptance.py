@@ -101,7 +101,8 @@ def test_criterion_2_two_layer_equals_digital_at_scale(capsys, tmp_path):
 def test_criterion_3_solver_matches_oracle(capsys):
     # on 2x2 instances the solver reaches the brute-force optimum within 1%;
     # the iteration is a local method, so it gets its documented multi-start
-    # (matched-filter init plus four seeded random restarts)
+    # (the default start, regularized zero forcing, plus four seeded random
+    # restarts)
     with checklist_line(capsys, 3, "solver matches brute-force optimum"):
         for seed in range(10):
             ch = generate_rayleigh(2, 2, seed=seed)
